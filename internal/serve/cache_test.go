@@ -1,166 +1,18 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"andorsched/internal/andor"
-	"andorsched/internal/core"
-	"andorsched/internal/obs"
-	"andorsched/internal/power"
 	"andorsched/internal/workload"
 )
 
-func testKey(n int) cacheKey {
-	var k cacheKey
-	k.graph[0] = byte(n)
-	k.graph[1] = byte(n >> 8)
-	k.platform = "transmeta"
-	k.procs = 2
-	return k
-}
-
-func compilePlan(t testing.TB) func() (*core.Plan, error) {
-	g := workload.Synthetic()
-	return func() (*core.Plan, error) {
-		return core.NewPlan(g, 2, power.Transmeta5400(), power.DefaultOverheads())
-	}
-}
-
-// TestCacheSingleCompile is the issue's acceptance test: N concurrent
-// identical submissions trigger exactly one compile; everyone gets the
-// same Plan.
-func TestCacheSingleCompile(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
-	var compiles atomic.Int64
-	mk := compilePlan(t)
-	compile := func() (*core.Plan, error) {
-		compiles.Add(1)
-		// Stretch the compile window so every goroutine is in flight
-		// before it finishes.
-		time.Sleep(20 * time.Millisecond)
-		return mk()
-	}
-
-	const n = 64
-	plans := make([]*core.Plan, n)
-	var wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start.Wait()
-			p, _, err := c.GetOrCompile(context.Background(), testKey(1), compile)
-			if err != nil {
-				t.Errorf("goroutine %d: %v", i, err)
-				return
-			}
-			plans[i] = p
-		}(i)
-	}
-	start.Done()
-	wg.Wait()
-
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("compile ran %d times under %d concurrent requests, want exactly 1", got, n)
-	}
-	for i := 1; i < n; i++ {
-		if plans[i] != plans[0] {
-			t.Fatalf("goroutine %d received a different Plan pointer", i)
-		}
-	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	m := obs.NewMetrics()
-	c := NewPlanCache(2, m)
-	var compiles atomic.Int64
-	mk := compilePlan(t)
-	compile := func() (*core.Plan, error) { compiles.Add(1); return mk() }
-
-	get := func(k int) {
-		t.Helper()
-		if _, _, err := c.GetOrCompile(context.Background(), testKey(k), compile); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get(1)
-	get(2)
-	get(1) // refresh 1: now 2 is least recently used
-	get(3) // evicts 2
-	if c.Len() != 2 {
-		t.Fatalf("cache length %d, want 2", c.Len())
-	}
-	if compiles.Load() != 3 {
-		t.Fatalf("%d compiles for 3 distinct keys, want 3", compiles.Load())
-	}
-	get(1) // still cached
-	if compiles.Load() != 3 {
-		t.Error("key 1 was evicted but should have been refreshed")
-	}
-	get(2) // was evicted: recompiles
-	if compiles.Load() != 4 {
-		t.Error("evicted key 2 did not recompile")
-	}
-	if ev, _ := m.Snapshot().Counter(MetricCacheEvictions); ev < 1 {
-		t.Errorf("eviction counter %d, want >= 1", ev)
-	}
-}
-
-func TestCacheFailedCompileNotCached(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
-	var compiles atomic.Int64
-	boom := errors.New("boom")
-	fail := func() (*core.Plan, error) { compiles.Add(1); return nil, boom }
-
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.GetOrCompile(context.Background(), testKey(9), fail); !errors.Is(err, boom) {
-			t.Fatalf("attempt %d: err %v, want boom", i, err)
-		}
-	}
-	if compiles.Load() != 3 {
-		t.Errorf("failed compile was cached: %d compiles, want 3", compiles.Load())
-	}
-	if c.Len() != 0 {
-		t.Errorf("failed entries left in cache: len %d", c.Len())
-	}
-}
-
-func TestCacheWaitBoundedByContext(t *testing.T) {
-	c := NewPlanCache(8, obs.NewMetrics())
-	slow := make(chan struct{})
-	go c.GetOrCompile(context.Background(), testKey(5), func() (*core.Plan, error) {
-		<-slow
-		return nil, errors.New("never mind")
-	})
-	// Give the first goroutine time to claim the entry.
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, _, err := c.GetOrCompile(ctx, testKey(5), func() (*core.Plan, error) {
-		t.Error("second compile must not run")
-		return nil, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err %v, want deadline exceeded", err)
-	}
-	close(slow)
-}
-
-// TestHTTPSingleCompile drives the same property through the HTTP layer:
-// concurrent identical /v1/plan requests produce one cache miss (one
-// core.NewPlan) and n-1 hits.
+// TestHTTPSingleCompile pins duplicate-compile suppression through the
+// HTTP layer: concurrent identical /v1/plan requests produce one cache
+// miss (one core.NewPlan) and n-1 hits.
 func TestHTTPSingleCompile(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
 	const n = 16
