@@ -21,8 +21,8 @@ type Arena struct {
 	levels    []int       // per-section level carry
 	clvLevels []int       // clairvoyant initial levels
 	probs     []float64   // chooseBranch scratch
-	busyP     []float64   // per-processor busy seconds (heterogeneous idle energy)
-	ovhP      []float64   // per-processor overhead seconds (heterogeneous idle energy)
+	busyP     []float64   // per-processor busy seconds (multi-class idle energy)
+	ovhP      []float64   // per-processor overhead seconds (multi-class idle energy)
 	batch     []float64   // batched-sampling scratch (one section's times)
 	pol       policy      // the run's policy, re-initialized per run
 	probePol  policy      // clairvoyant probe policy

@@ -22,6 +22,13 @@
 //     AS   adaptive speculation — GSS floored by a speed recomputed from
 //     the remaining average-case work after every OR node.
 //
+// One machine model serves both constructors: NewHeteroPlan compiles for
+// processor classes with their own DVS tables and speed multipliers, and
+// NewPlan's m identical processors are the one class at Speed 1, run
+// through the same off-line and on-line code with bit-identical arithmetic.
+// The identical-processor plan only differs in what it reports: no
+// per-class energy breakdown, and `@class` tags are ignored.
+//
 // Correctness (Theorem 1): whenever the canonical schedule of the longest
 // path meets the deadline, every scheme's on-line execution meets it too.
 // The run driver verifies the underlying invariant — no task is dispatched

@@ -26,7 +26,8 @@ func NewArena() *Arena { return &Arena{} }
 // only until the next Run on the same arena; callers that need the data
 // longer must copy it.
 func (a *Arena) Run(cfg Config, tasks []*Task) (*Result, error) {
-	return a.rs.run(cfg, tasks)
+	a.rs.cfg = cfg
+	return a.rs.run(tasks)
 }
 
 // ensureInts returns buf resized to n, reusing its backing array when the

@@ -68,7 +68,7 @@ func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc [
 		if !t.Dummy {
 			compT = cfg.Overheads.CompTime(cfg.Platform.Levels()[lvl].Freq)
 			if cfg.Policy != nil {
-				lvl = cfg.Policy.PickLevel(t, d, levels[best])
+				lvl = cfg.Policy.PickLevel(t, d, levels[best], 0)
 			} else {
 				lvl = cfg.Platform.MaxIndex()
 				compT = 0

@@ -18,7 +18,7 @@ func testPlat() *power.Platform {
 // fixedPolicy always picks one level.
 type fixedPolicy int
 
-func (f fixedPolicy) PickLevel(*Task, float64, int) int { return int(f) }
+func (f fixedPolicy) PickLevel(*Task, float64, int, int) int { return int(f) }
 
 // task builds a compute task with work in mega-cycles.
 func task(name string, workW, workA float64, preds, succs []int) *Task {

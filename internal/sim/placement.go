@@ -3,10 +3,10 @@ package sim
 import "fmt"
 
 // ProcView is the per-processor state the engine exposes to a placement
-// policy when it asks where to dispatch a task: the processor's identity
-// and class plus the class properties placements rank by. Views are only
-// built for processors that are idle and pass the engine's per-class
-// feasibility guard, so a policy is free to pick any entry.
+// policy when it ranks two idle processors for a task: the processor's
+// identity and class plus the class properties placements rank by. Views
+// are only built for processors that pass the engine's per-class
+// feasibility guard.
 type ProcView struct {
 	// Proc is the processor index.
 	Proc int
@@ -24,24 +24,31 @@ type ProcView struct {
 
 // PlacementPolicy picks the processor a ready task is dispatched on. It is
 // the pluggable queue-selection axis of the heterogeneous machine model:
-// the engine keeps one logical ready queue per processor group and asks the
-// policy which group's head processor takes the next task.
+// the engine scans the idle processors that pass its feasibility guard and
+// keeps the one the policy prefers.
+//
+// The engine consults the policy only between processors of different
+// classes. Within a class the processors are identical and the engine
+// itself prefers the one idle longest, ties by lower index — so a policy
+// must agree with that order on same-class pairs (the three built-in
+// policies do, through fasterView's FreeAt/Proc tie-breaks), and a
+// one-class machine never consults it.
 //
 // Policies must be deterministic pure functions of their arguments —
 // schedules are replayed and differential-tested bit-for-bit.
 type PlacementPolicy interface {
 	// Name returns the policy's stable identifier ("fastest-first", ...).
 	Name() string
-	// Pick returns the index into eligible of the processor to dispatch t
-	// on. eligible is non-empty, ordered by processor index, and contains
-	// only idle processors that pass the feasibility guard.
-	Pick(t *Task, now float64, eligible []ProcView) int
+	// Prefer reports whether t should go to processor a rather than b.
+	// It must be a strict total order over processors (irreflexive,
+	// transitive), so that the engine's scan finds its minimum.
+	Prefer(t *Task, a, b *ProcView) bool
 }
 
 // fasterView reports whether a should be preferred over b under the
 // fastest-first ordering: higher effective f_max, then longer idle (lower
 // FreeAt), then lower processor index. With a single class this reduces
-// exactly to the homogeneous engine's idle-longest-first processor pick.
+// exactly to the engine's idle-longest-first processor pick.
 func fasterView(a, b *ProcView) bool {
 	if a.EffFmax != b.EffFmax {
 		return a.EffFmax > b.EffFmax
@@ -52,30 +59,13 @@ func fasterView(a, b *ProcView) bool {
 	return a.Proc < b.Proc
 }
 
-// fastestOf returns the index of the best view under fasterView, scanning a
-// subset selected by keep (nil keeps all). Returns -1 if nothing kept.
-func fastestOf(eligible []ProcView, keep func(*ProcView) bool) int {
-	best := -1
-	for i := range eligible {
-		if keep != nil && !keep(&eligible[i]) {
-			continue
-		}
-		if best < 0 || fasterView(&eligible[i], &eligible[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
 // fastestFirst always places on the fastest eligible class — the default
-// policy, and on a 1-class platform exactly the homogeneous behavior.
+// policy.
 type fastestFirst struct{}
 
 func (fastestFirst) Name() string { return "fastest-first" }
 
-func (fastestFirst) Pick(t *Task, now float64, eligible []ProcView) int {
-	return fastestOf(eligible, nil)
-}
+func (fastestFirst) Prefer(_ *Task, a, b *ProcView) bool { return fasterView(a, b) }
 
 // energyGreedy places on the eligible class with the lowest energy per
 // cycle of work — accepting a slower processor whenever the feasibility
@@ -85,40 +75,30 @@ type energyGreedy struct{}
 
 func (energyGreedy) Name() string { return "energy-greedy" }
 
-func (energyGreedy) Pick(t *Task, now float64, eligible []ProcView) int {
-	best := 0
-	for i := 1; i < len(eligible); i++ {
-		a, b := &eligible[i], &eligible[best]
-		if a.EnergyPerCycle != b.EnergyPerCycle {
-			if a.EnergyPerCycle < b.EnergyPerCycle {
-				best = i
-			}
-			continue
-		}
-		if fasterView(a, b) {
-			best = i
-		}
+func (energyGreedy) Prefer(_ *Task, a, b *ProcView) bool {
+	if a.EnergyPerCycle != b.EnergyPerCycle {
+		return a.EnergyPerCycle < b.EnergyPerCycle
 	}
-	return best
+	return fasterView(a, b)
 }
 
 // classAffinity honors the task's class-affinity tag (Task.Affinity,
-// assigned from `@class` annotations in the workload): among eligible
-// processors of the preferred class it picks fastest-first; when none is
-// eligible — the class is busy, absent, or infeasible for this task — it
-// degrades to fastest-first over everything eligible.
+// assigned from `@class` annotations in the workload): processors of the
+// preferred class come first, fastest-first among them; when none is
+// eligible — the class is busy, absent, or infeasible for this task — the
+// pick degrades to fastest-first over everything eligible.
 type classAffinity struct{}
 
 func (classAffinity) Name() string { return "class-affinity" }
 
-func (classAffinity) Pick(t *Task, now float64, eligible []ProcView) int {
+func (classAffinity) Prefer(t *Task, a, b *ProcView) bool {
 	if t.Affinity > 0 {
 		want := t.Affinity - 1
-		if i := fastestOf(eligible, func(v *ProcView) bool { return v.Class == want }); i >= 0 {
-			return i
+		if aw, bw := a.Class == want, b.Class == want; aw != bw {
+			return aw
 		}
 	}
-	return fastestOf(eligible, nil)
+	return fasterView(a, b)
 }
 
 // The placement policies. All are stateless; the package-level values are

@@ -7,15 +7,14 @@ import (
 	"andorsched/internal/power"
 )
 
-// fixedHeteroPolicy picks min(level, class max) on any class — a fixed
-// policy usable on both machine models for differential testing.
-type fixedHeteroPolicy struct {
+// clampPolicy picks min(level, class max) on any class — a fixed
+// policy usable on any machine for differential testing.
+type clampPolicy struct {
 	h   *power.Hetero
 	lvl int
 }
 
-func (f fixedHeteroPolicy) PickLevel(*Task, float64, int) int { return f.lvl }
-func (f fixedHeteroPolicy) PickLevelHetero(_ *Task, _ float64, _ int, class int) int {
+func (f clampPolicy) PickLevel(_ *Task, _ float64, _ int, class int) int {
 	if max := f.h.Class(class).Plat.MaxIndex(); f.lvl > max {
 		return max
 	}
@@ -81,7 +80,7 @@ func TestHetero1ClassSimDifferential(t *testing.T) {
 		hcfg.Procs = 0
 		hcfg.Hetero = hp
 		if cfg.Policy != nil {
-			hcfg.Policy = fixedHeteroPolicy{hp, int(cfg.Policy.(fixedPolicy))}
+			hcfg.Policy = clampPolicy{hp, int(cfg.Policy.(fixedPolicy))}
 		}
 		got, err := Run(hcfg, tasks)
 		if err != nil {
@@ -93,7 +92,7 @@ func TestHetero1ClassSimDifferential(t *testing.T) {
 			t.Logf("seed %d: 1-class heterogeneous run diverged from homogeneous", seed)
 			return false
 		}
-		if err := ValidateResultHetero(hp, hcfg.Mode, hcfg.Start, tasks, got); err != nil {
+		if err := ValidateResult(hcfg, tasks, got); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -124,6 +123,17 @@ func onlineTask(workMcycles, lft float64) *Task {
 	return &Task{Name: "t", WorkW: w, WorkA: w, LFT: lft}
 }
 
+// pick scans views for the one p prefers, as the engine's idle scan does.
+func pick(p PlacementPolicy, t *Task, views []ProcView) int {
+	best := 0
+	for i := 1; i < len(views); i++ {
+		if p.Prefer(t, &views[i], &views[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
 // TestPlacementPolicyRanking exercises the three policies directly on
 // synthetic processor views.
 func TestPlacementPolicyRanking(t *testing.T) {
@@ -133,18 +143,18 @@ func TestPlacementPolicyRanking(t *testing.T) {
 		{Proc: 2, Class: 1, FreeAt: 0, EffFmax: 1e8, EnergyPerCycle: 0.5e-9},
 	}
 	task := &Task{}
-	if got := FastestFirst.Pick(task, 5, views); got != 1 {
+	if got := pick(FastestFirst, task, views); got != 1 {
 		t.Errorf("fastest-first picked %d, want 1 (fastest class, idle longest)", got)
 	}
-	if got := EnergyGreedy.Pick(task, 5, views); got != 2 {
+	if got := pick(EnergyGreedy, task, views); got != 2 {
 		t.Errorf("energy-greedy picked %d, want 2 (cheapest per cycle)", got)
 	}
 	tagged := &Task{Affinity: 2} // prefers class 1
-	if got := ClassAffinity.Pick(tagged, 5, views); got != 2 {
+	if got := pick(ClassAffinity, tagged, views); got != 2 {
 		t.Errorf("class-affinity picked %d, want 2 (tagged class)", got)
 	}
 	noClass := &Task{Affinity: 7} // class absent: degrade to fastest-first
-	if got := ClassAffinity.Pick(noClass, 5, views); got != 1 {
+	if got := pick(ClassAffinity, noClass, views); got != 1 {
 		t.Errorf("class-affinity fallback picked %d, want 1", got)
 	}
 	// Equal speeds: fastest-first must reduce to idle-longest, ties by
@@ -153,7 +163,7 @@ func TestPlacementPolicyRanking(t *testing.T) {
 		{Proc: 0, Class: 0, FreeAt: 2, EffFmax: 4e8},
 		{Proc: 1, Class: 0, FreeAt: 2, EffFmax: 4e8},
 	}
-	if got := FastestFirst.Pick(task, 5, flat); got != 0 {
+	if got := pick(FastestFirst, task, flat); got != 0 {
 		t.Errorf("fastest-first tie-break picked %d, want 0", got)
 	}
 }
@@ -172,7 +182,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 		tk.CanonClass = canon
 		res, err := Run(Config{
 			Hetero: hp, Placement: place, Mode: mode,
-			Policy: fixedHeteroPolicy{hp, testPlat().MaxIndex()},
+			Policy: clampPolicy{hp, testPlat().MaxIndex()},
 		}, []*Task{tk})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +209,7 @@ func TestHeteroFeasibilityGuard(t *testing.T) {
 	b.Node, b.Order = 1, 1
 	res, err := Run(Config{
 		Hetero: hp, Placement: FastestFirst, Mode: ByOrder,
-		Policy: fixedHeteroPolicy{hp, testPlat().MaxIndex()},
+		Policy: clampPolicy{hp, testPlat().MaxIndex()},
 	}, []*Task{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +239,6 @@ func TestHeteroConfigErrors(t *testing.T) {
 	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{1, 1}}, []*Task{tk}); err == nil {
 		t.Error("per-class out-of-range initial level accepted")
 	}
-	if _, err := Run(Config{Hetero: hp, Policy: fixedPolicy(0)}, []*Task{tk}); err == nil {
-		t.Error("non-hetero policy accepted on a heterogeneous platform")
-	}
 	if _, err := Run(Config{Hetero: hp, InitialLevels: []int{2, 0}}, []*Task{tk}); err != nil {
 		t.Errorf("valid heterogeneous config rejected: %v", err)
 	}
@@ -260,7 +267,7 @@ func TestClassAffinitySteering(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateResultHetero(hp, ByOrder, 0, []*Task{tagged, plain}, res); err != nil {
+	if err := ValidateResult(Config{Hetero: hp, Mode: ByOrder}, []*Task{tagged, plain}, res); err != nil {
 		t.Error(err)
 	}
 }

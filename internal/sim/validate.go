@@ -24,24 +24,19 @@ const valTol = 1e-9
 //   - in ByOrder mode, dispatch times are non-decreasing in task order
 //     (the order-gate discipline);
 //   - the per-processor busy/overhead totals match the records.
-func ValidateResult(platform *power.Platform, mode Mode, start float64, tasks []*Task, res *Result) error {
-	return validateResult(func(int) (*power.Platform, float64) { return platform, 1 },
-		mode, start, tasks, res)
-}
-
-// ValidateResultHetero is ValidateResult for heterogeneous runs: each
+//
+// cfg is the configuration the run was made with: its machine (each
 // record's level bound and duration are checked against its processor
-// class's own DVS table and effective rate Speed·f.
-func ValidateResultHetero(h *power.Hetero, mode Mode, start float64, tasks []*Task, res *Result) error {
-	return validateResult(func(proc int) (*power.Platform, float64) {
-		c := h.Class(h.ClassOf(proc))
-		return c.Plat, c.Speed
-	}, mode, start, tasks, res)
-}
-
-// procModel returns the DVS table and speed multiplier of a processor; the
-// proc index has been bounds-checked against the result.
-func validateResult(procModel func(proc int) (*power.Platform, float64), mode Mode, start float64, tasks []*Task, res *Result) error {
+// class's own DVS table and effective rate Speed·f), Mode and Start.
+func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
+	h := cfg.Hetero
+	if h == nil {
+		var err error
+		if h, err = power.Homogeneous(cfg.Platform, len(res.BusyTime)); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	mode, start := cfg.Mode, cfg.Start
 	if len(res.Records) != len(tasks) {
 		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), len(tasks))
 	}
@@ -55,10 +50,11 @@ func validateResult(procModel func(proc int) (*power.Platform, float64), mode Mo
 			return fmt.Errorf("sim: task %q executed twice", tasks[r.Task].Name)
 		}
 		byTask[r.Task] = r
-		if r.Proc < 0 || r.Proc >= len(res.BusyTime) {
+		if r.Proc < 0 || r.Proc >= len(res.BusyTime) || r.Proc >= h.NumProcs() {
 			return fmt.Errorf("sim: record on unknown processor %d", r.Proc)
 		}
-		platform, speed := procModel(r.Proc)
+		cl := h.Class(h.ClassOf(r.Proc))
+		platform, speed := cl.Plat, cl.Speed
 		if r.Level < 0 || r.Level >= platform.NumLevels() {
 			return fmt.Errorf("sim: task %q ran at invalid level %d", tasks[r.Task].Name, r.Level)
 		}
