@@ -341,20 +341,27 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 	defer p.Close()
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	// Pin both workers.
+	// Pin both workers. Wait for the pinning jobs to start running, not
+	// just to be counted in flight (InFlight also counts a submission still
+	// on its way into the queue, which a later job could overtake).
+	pinned := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) { <-gate })
+			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {
+				pinned <- struct{}{}
+				<-gate
+			})
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for p.InFlight() < 2 {
-		if time.Now().After(deadline) {
+	for i := 0; i < 2; i++ {
+		select {
+		case <-pinned:
+		case <-time.After(time.Until(deadline)):
 			t.Fatal("workers never pinned")
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	// Queue four single-unit chunk-style jobs.
 	for i := 0; i < 4; i++ {
