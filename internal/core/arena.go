@@ -3,11 +3,12 @@ package core
 import "andorsched/internal/sim"
 
 // Arena owns the per-run scratch state of the on-line phase: the engine's
-// sim.Arena plus this layer's resolved script, task instantiation buffers,
-// processor-level carries, branch-probability scratch, the reusable policy,
-// and the clairvoyant probe result. One Arena per worker goroutine, reused
-// across runs, makes steady-state Plan.RunInto calls allocation-free (with
-// RunConfig.Tracer, Metrics, CollectTrace and Validate unset).
+// sim.Arena plus this layer's resolved script, processor-level carries,
+// branch-probability scratch, the reusable policy, the clairvoyant probe
+// result and the frame result of RunSchemesInto. One Arena per worker
+// goroutine, reused across runs, makes steady-state Plan.RunInto and
+// Plan.RunSchemesInto calls allocation-free (with RunConfig.Tracer,
+// Metrics, CollectTrace and Validate unset).
 //
 // An Arena is not safe for concurrent use. Results are bit-identical to the
 // arena-free entry points for any reuse pattern and worker count: the arena
@@ -15,18 +16,17 @@ import "andorsched/internal/sim"
 type Arena struct {
 	sim sim.Arena
 
-	sc        script      // resolved script, slices reused across runs
-	tasks     []*sim.Task // runtimeTasks output
-	taskBuf   []sim.Task  // backing store for the per-section task copies
-	levels    []int       // per-section level carry
-	clvLevels []int       // clairvoyant initial levels
-	probs     []float64   // chooseBranch scratch
-	busyP     []float64   // per-processor busy seconds (multi-class idle energy)
-	ovhP      []float64   // per-processor overhead seconds (multi-class idle energy)
-	batch     []float64   // batched-sampling scratch (one section's times)
-	pol       policy      // the run's policy, re-initialized per run
-	probePol  policy      // clairvoyant probe policy
-	probe     RunResult   // clairvoyant probe output
+	sc        script    // resolved script, slices reused across runs
+	levels    []int     // per-section level carry
+	clvLevels []int     // clairvoyant initial levels
+	probs     []float64 // chooseBranch scratch
+	busyP     []float64 // per-processor busy seconds (multi-class idle energy)
+	ovhP      []float64 // per-processor overhead seconds (multi-class idle energy)
+	batch     []float64 // batched-sampling scratch (one section's times)
+	pol       policy    // the run's policy, re-initialized per run
+	probePol  policy    // clairvoyant probe policy
+	probe     RunResult // clairvoyant probe output
+	res       RunResult // RunSchemesInto's per-scheme result
 }
 
 // NewArena returns an empty Arena. Buffers grow on first use and are

@@ -24,24 +24,23 @@ func TestASPFloorExact(t *testing.T) {
 	// SpecRemain per task: T1 dispatched at 0 (remain 6ms), T2 at 2ms
 	// (remain 4ms), T3 at 4ms (remain 2ms) in the average canonical.
 	wants := map[string]float64{"T1": 6e-3, "T2": 4e-3, "T3": 2e-3}
-	for _, tp := range sp.tasks {
-		if w := wants[tp.node.Name]; !closeTo(tp.tmpl.SpecRemain, w) {
-			t.Errorf("SpecRemain[%s] = %g, want %g", tp.node.Name, tp.tmpl.SpecRemain, w)
+	for i, name := range sp.tmpl.Name {
+		if w := wants[name]; !closeTo(sp.tmpl.SpecRemain[i], w) {
+			t.Errorf("SpecRemain[%s] = %g, want %g", name, sp.tmpl.SpecRemain[i], w)
 		}
 	}
 	// Floor for T1 at t=0: 250 MHz (level 1).
-	t1 := sp.tasks[0].tmpl
-	t1.LFT = 24e-3
-	if got := pol.floorAt(&t1, 0, &pol.cls[0]); got != 1 {
+	t1 := sp.tmpl.SpecRemain[0]
+	if got := pol.floorAt(t1, 0, &pol.cls[0]); got != 1 {
 		t.Errorf("ASP floor = %d, want 1 (250MHz)", got)
 	}
 	// Same task picked late (t = 21ms): 6ms of average work over 3ms left
 	// → f_max.
-	if got := pol.floorAt(&t1, 21e-3, &pol.cls[0]); got != plan.Platform.MaxIndex() {
+	if got := pol.floorAt(t1, 21e-3, &pol.cls[0]); got != plan.Platform.MaxIndex() {
 		t.Errorf("late ASP floor = %d, want max", got)
 	}
 	// Past the deadline: clamp.
-	if got := pol.floorAt(&t1, 25e-3, &pol.cls[0]); got != plan.Platform.MaxIndex() {
+	if got := pol.floorAt(t1, 25e-3, &pol.cls[0]); got != plan.Platform.MaxIndex() {
 		t.Errorf("post-deadline ASP floor = %d, want max", got)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"andorsched/internal/andor"
@@ -35,21 +36,11 @@ func eqPlans(a, b *Plan) string {
 		if as.remWorst != bs.remWorst || as.remAvg != bs.remAvg {
 			return fmt.Sprintf("section %d rem: (%v,%v) vs (%v,%v)", s, as.remWorst, as.remAvg, bs.remWorst, bs.remAvg)
 		}
-		if len(as.tasks) != len(bs.tasks) {
-			return fmt.Sprintf("section %d task count: %d vs %d", s, len(as.tasks), len(bs.tasks))
+		if !reflect.DeepEqual(as.tmpl, bs.tmpl) {
+			return fmt.Sprintf("section %d template: %+v vs %+v", s, as.tmpl, bs.tmpl)
 		}
-		for i := range as.tasks {
-			at, bt := &as.tasks[i], &bs.tasks[i]
-			if at.relLFT != bt.relLFT {
-				return fmt.Sprintf("section %d task %d relLFT: %v vs %v", s, i, at.relLFT, bt.relLFT)
-			}
-			if at.tmpl.Node != bt.tmpl.Node || at.tmpl.Dummy != bt.tmpl.Dummy ||
-				at.tmpl.WorkW != bt.tmpl.WorkW || at.tmpl.Order != bt.tmpl.Order ||
-				at.tmpl.SpecRemain != bt.tmpl.SpecRemain ||
-				at.tmpl.CanonClass != bt.tmpl.CanonClass ||
-				at.tmpl.Affinity != bt.tmpl.Affinity {
-				return fmt.Sprintf("section %d task %d template: %+v vs %+v", s, i, at.tmpl, bt.tmpl)
-			}
+		if !reflect.DeepEqual(as.relLFT, bs.relLFT) {
+			return fmt.Sprintf("section %d relLFT: %v vs %v", s, as.relLFT, bs.relLFT)
 		}
 		if len(as.computeIdx) != len(bs.computeIdx) {
 			return fmt.Sprintf("section %d computeIdx: %d vs %d", s, len(as.computeIdx), len(bs.computeIdx))

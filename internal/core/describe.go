@@ -41,26 +41,27 @@ func (p *Plan) Describe(deadline float64) string {
 		}
 		fmt.Fprintf(&b, "\nsection %d: len_w %.3fms, len_a %.3fms, after-exit worst %.3fms avg %.3fms, exit %s\n",
 			sp.sec.ID, sp.lenW*1e3, sp.lenA*1e3, sp.remWorst*1e3, sp.remAvg*1e3, exit)
-		if len(sp.tasks) == 0 {
+		t := &sp.tmpl
+		if t.Len() == 0 {
 			b.WriteString("  (zero-length section)\n")
 			continue
 		}
 		// Print tasks in canonical dispatch order.
-		byOrder := make([]*taskPlan, len(sp.tasks))
-		for i := range sp.tasks {
-			byOrder[sp.tasks[i].tmpl.Order] = &sp.tasks[i]
+		byOrder := make([]int, t.Len())
+		for i, o := range t.Order {
+			byOrder[o] = i
 		}
 		fmt.Fprintf(&b, "  %-4s %-14s %10s %10s %10s\n", "ord", "task", "wcet", "LST", "LFT")
-		for _, tp := range byOrder {
-			lft := deadline + tp.relLFT
-			if tp.tmpl.Dummy {
+		for o, i := range byOrder {
+			lft := deadline + sp.relLFT[i]
+			if t.Dummy[i] {
 				fmt.Fprintf(&b, "  %-4d %-14s %10s %10s %9.3fms\n",
-					tp.tmpl.Order, tp.node.Name, "-", "-", lft*1e3)
+					o, t.Name[i], "-", "-", lft*1e3)
 				continue
 			}
-			lst := lft - tp.tmpl.WorkW/p.fmax
+			lst := lft - t.WorkW[i]/p.fmax
 			fmt.Fprintf(&b, "  %-4d %-14s %8.3fms %8.3fms %8.3fms\n",
-				tp.tmpl.Order, tp.node.Name, tp.node.WCET*1e3, lst*1e3, lft*1e3)
+				o, t.Name[i], sp.sec.Nodes[i].WCET*1e3, lst*1e3, lft*1e3)
 		}
 	}
 	return b.String()

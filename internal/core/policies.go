@@ -27,6 +27,11 @@ type policy struct {
 	scheme Scheme
 	cls    []classPolicy // indexed by processor class
 
+	// relLFT is the current section's deadline-relative latest finish
+	// times (secPlan.relLFT), installed by resetSection: task i's latest
+	// finish time is d + relLFT[i].
+	relLFT []float64
+
 	// ASP: the remaining average-case time after the current section's
 	// exit barrier, refreshed at each barrier; combined with each task's
 	// SpecRemain statistic at pickup time.
@@ -158,6 +163,7 @@ func (pol *policy) setORAWeight(w float64) {
 // redistributed over the sections ahead. With scale ≡ 1 (empty or frozen
 // history) the arithmetic below is bit-identical to AS's.
 func (pol *policy) resetSection(sectionID int, now float64) {
+	pol.relLFT = pol.plan.secs[sectionID].relLFT
 	switch pol.scheme {
 	case AS, ORA:
 		left := pol.d - now
@@ -204,10 +210,10 @@ func (pol *policy) observeSection(sp *secPlan, works []float64) {
 	}
 }
 
-// floorAt returns the speculative floor level, on class cp's table, for
-// task t picked at time now (SS1/SS2/AS/ORA/ASP), or -1 when the scheme has
-// none (GSS).
-func (pol *policy) floorAt(t *sim.Task, now float64, cp *classPolicy) int {
+// floorAt returns the speculative floor level, on class cp's table, for a
+// task with speculation statistic specRemain picked at time now
+// (SS1/SS2/AS/ORA/ASP), or -1 when the scheme has none (GSS).
+func (pol *policy) floorAt(specRemain, now float64, cp *classPolicy) int {
 	switch pol.scheme {
 	case SS1, AS, ORA:
 		return cp.floorLow
@@ -224,7 +230,7 @@ func (pol *policy) floorAt(t *sim.Task, now float64, cp *classPolicy) int {
 		if left <= 0 {
 			return cp.plat.MaxIndex()
 		}
-		f := cp.plat.Max().Freq * (t.SpecRemain + pol.remAvgAfter) / left
+		f := cp.plat.Max().Freq * (specRemain + pol.remAvgAfter) / left
 		return cp.plat.QuantizeUp(f)
 	}
 	return -1
@@ -232,30 +238,39 @@ func (pol *policy) floorAt(t *sim.Task, now float64, cp *classPolicy) int {
 
 // PickLevel implements sim.Policy: every frequency is read through the
 // class's effective rate Speed·f and every level is quantized on the
-// class's own table.
-func (pol *policy) PickLevel(t *sim.Task, now float64, cur int, ci int) int {
+// class's own table. Task ti's latest finish time is the deadline plus its
+// plan-relative one.
+func (pol *policy) PickLevel(tmpl *sim.Template, ti int, now float64, cur int, ci int) int {
 	cp := &pol.cls[ci]
 	switch pol.scheme {
 	case NPM, SPM, CLV:
 		return cp.fixed
 	}
-	g := pol.gssPick(t, now, cur, cp)
+	return pol.pick(tmpl, ti, pol.d+pol.relLFT[ti], now, cur, cp)
+}
+
+// pick is a dynamic scheme's level for task ti of tmpl, with latest finish
+// time lft: the greedy slack-sharing level, raised to the speculative
+// floor when the floor's speed change still fits the allocation.
+func (pol *policy) pick(tmpl *sim.Template, ti int, lft, now float64, cur int, cp *classPolicy) int {
+	workW := tmpl.WorkW[ti]
+	g := pol.gssPick(workW, lft, now, cur, cp)
 	lvl := g
-	if flr := pol.floorAt(t, now, cp); flr > g {
+	if flr := pol.floorAt(tmpl.SpecRemain[ti], now, cp); flr > g {
 		// The speculative floor is above the slack-sharing level. Running
 		// faster is always timing-safe provided the change overhead (if
 		// any) still fits the allocation.
 		if flr == cur {
 			lvl = cur
 		} else {
-			avail := t.LFT - now - pol.plan.Overheads.CompTime(cp.eff[cur]) - cp.maxChange
-			if avail > 0 && cp.eff[flr]*avail >= t.WorkW*(1-feasTol) {
+			avail := lft - now - pol.plan.Overheads.CompTime(cp.eff[cur]) - cp.maxChange
+			if avail > 0 && cp.eff[flr]*avail >= workW*(1-feasTol) {
 				lvl = flr
 			}
 		}
 	}
 	if pol.tracer != nil || pol.hSlack != nil {
-		pol.observePick(t, now, g, lvl)
+		pol.observePick(tmpl, ti, lft, now, g, lvl)
 	}
 	return lvl
 }
@@ -263,8 +278,8 @@ func (pol *policy) PickLevel(t *sim.Task, now float64, cur int, ci int) int {
 // observePick emits the pickup's slack decision: the slack-sharing
 // allocation beyond the task's minimum need, and — when speculation pushed
 // the level above the greedy choice — a slack-steal event.
-func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
-	slack := t.LFT - now - t.WorkW/pol.plan.fmax
+func (pol *policy) observePick(tmpl *sim.Template, ti int, lft, now float64, g, lvl int) {
+	slack := lft - now - tmpl.WorkW[ti]/pol.plan.fmax
 	if slack < 0 {
 		slack = 0
 	}
@@ -274,7 +289,7 @@ func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
 	if pol.tracer != nil {
 		pol.tracer.Event(obs.Event{
 			Kind: obs.EvSlackShare, Time: now,
-			Proc: -1, Task: -1, Node: t.Node, Name: t.Name,
+			Proc: -1, Task: -1, Node: tmpl.Node[ti], Name: tmpl.Name[ti],
 			Level: g, Prev: g, Value: slack,
 		})
 	}
@@ -287,14 +302,15 @@ func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
 	if pol.tracer != nil {
 		pol.tracer.Event(obs.Event{
 			Kind: obs.EvSlackSteal, Time: now,
-			Proc: -1, Task: -1, Node: t.Node, Name: t.Name,
+			Proc: -1, Task: -1, Node: tmpl.Node[ti], Name: tmpl.Name[ti],
 			Level: lvl, Prev: g,
 		})
 	}
 }
 
 // gssPick is the greedy slack-sharing level choice with overhead
-// accounting (§3.2 and [20]) on class cp's table: the task's allocation is
+// accounting (§3.2 and [20]) on class cp's table, for a task of worst-case
+// work workW and latest finish time lft: the task's allocation is
 // everything up to its latest finish time; after paying the
 // speed-computation overhead (and the change overhead if the level would
 // change), the slowest level that still covers the worst-case work is
@@ -302,13 +318,13 @@ func (pol *policy) observePick(t *sim.Task, now float64, g, lvl int) {
 // through by the class speed before quantization. If no change can be
 // afforded the processor keeps its current speed when that is fast enough,
 // and falls back to maximum speed otherwise.
-func (pol *policy) gssPick(t *sim.Task, now float64, cur int, cp *classPolicy) int {
+func (pol *policy) gssPick(workW, lft, now float64, cur int, cp *classPolicy) int {
 	plat := cp.plat
 
-	availNC := t.LFT - now - pol.plan.Overheads.CompTime(cp.eff[cur])
+	availNC := lft - now - pol.plan.Overheads.CompTime(cp.eff[cur])
 	needNC := math.Inf(1)
 	if availNC > 0 {
-		needNC = t.WorkW / availNC
+		needNC = workW / availNC
 	}
 	curOK := cp.eff[cur] >= needNC*(1-feasTol)
 
@@ -316,12 +332,12 @@ func (pol *policy) gssPick(t *sim.Task, now float64, cur int, cp *classPolicy) i
 	lvlC := plat.MaxIndex()
 	feasC := false
 	if availC > 0 {
-		need := t.WorkW / availC
+		need := workW / availC
 		if cp.speed != 1 {
 			need /= cp.speed // exact no-op at Speed 1, so skipped
 		}
 		lvlC = plat.QuantizeUp(need)
-		feasC = cp.eff[lvlC]*availC >= t.WorkW*(1-feasTol)
+		feasC = cp.eff[lvlC]*availC >= workW*(1-feasTol)
 	}
 
 	if curOK {
@@ -351,8 +367,12 @@ func (pol *policy) initialLevel(ci int) int {
 
 var _ sim.Policy = (*policy)(nil)
 
-// SPMLevel returns the level index SPM would use for the given deadline —
-// exposed for tests and reporting.
+// SPMLevel returns the level SPM would use for the given deadline —
+// exposed for tests and reporting. It is computed on class 0's table with
+// the stretch rule of policy.init's SPM case; heterogeneous plans report
+// class 0's level (every class stretches by the same fraction CT_worst/D
+// of its own f_max).
 func (p *Plan) SPMLevel(deadline float64) power.Level {
-	return p.Platform.Levels()[p.Platform.QuantizeUp(p.fmax*p.CTWorst/deadline)]
+	plat := p.classes[0].plat
+	return plat.Levels()[plat.QuantizeUp(plat.Max().Freq*p.CTWorst/deadline)]
 }

@@ -18,8 +18,21 @@ func newTestPolicy(t *testing.T, scheme Scheme, d float64, ov power.Overheads) (
 	return plan, newPolicy(plan, scheme, d)
 }
 
-func simTask(workW float64, lft float64) *sim.Task {
-	return &sim.Task{Name: "t", WorkW: workW, LFT: lft}
+// pickup is one task as the level choice sees it: its worst-case work and
+// its latest finish time.
+type pickup struct{ workW, lft float64 }
+
+func simTask(workW float64, lft float64) pickup { return pickup{workW, lft} }
+
+// pickLevel is pol's dynamic-scheme level choice for task t, dispatched at
+// now on a class-0 processor at level cur.
+func pickLevel(t *testing.T, pol *policy, task pickup, now float64, cur int) int {
+	t.Helper()
+	tmpl, _, err := sim.NewTemplate([]*sim.Task{{Name: "t", WorkW: task.workW}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol.pick(tmpl, 0, task.lft, now, cur, &pol.cls[0])
 }
 
 func TestGssPickNoOverheads(t *testing.T) {
@@ -27,7 +40,7 @@ func TestGssPickNoOverheads(t *testing.T) {
 	maxIdx := 3
 	cases := []struct {
 		name string
-		task *sim.Task
+		task pickup
 		now  float64
 		cur  int
 		want int
@@ -46,7 +59,7 @@ func TestGssPickNoOverheads(t *testing.T) {
 		{"past lft", simTask(4e-3*1e9, 1e-3), 2e-3, 1, 3},
 	}
 	for _, c := range cases {
-		if got := pol.gssPick(c.task, c.now, c.cur, &pol.cls[0]); got != c.want {
+		if got := pol.gssPick(c.task.workW, c.task.lft, c.now, c.cur, &pol.cls[0]); got != c.want {
 			t.Errorf("%s: gssPick = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -59,24 +72,24 @@ func TestGssPickOverheadAccounting(t *testing.T) {
 	// 4ms work, 9ms allocation, processor at f_max. Without a change:
 	// 444 MHz → 500. With the 1ms change: 4/8 = 500 MHz → still 500, so
 	// the change pays off (500 < 1000).
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3, &pol.cls[0]); got != 2 {
+	if got := pol.gssPick(4e-3*1e9, 9e-3, 0, 3, &pol.cls[0]); got != 2 {
 		t.Errorf("affordable slowdown = %d, want 2", got)
 	}
 	// 4ms work, 4.5ms allocation at f_max: without change 888 MHz → 1000
 	// (= current): stay; changing would need 4/3.5 = 1.14 GHz — impossible.
-	if got := pol.gssPick(simTask(4e-3*1e9, 4.5e-3), 0, 3, &pol.cls[0]); got != 3 {
+	if got := pol.gssPick(4e-3*1e9, 4.5e-3, 0, 3, &pol.cls[0]); got != 3 {
 		t.Errorf("unaffordable slowdown = %d, want 3 (stay)", got)
 	}
 	// Processor at 125 MHz (level 0), 4ms work, 6ms allocation: current
 	// is too slow, must speed up; after the 1ms change, 4/5 = 800 MHz →
 	// f_max.
-	if got := pol.gssPick(simTask(4e-3*1e9, 6e-3), 0, 0, &pol.cls[0]); got != 3 {
+	if got := pol.gssPick(4e-3*1e9, 6e-3, 0, 0, &pol.cls[0]); got != 3 {
 		t.Errorf("mandatory speed-up = %d, want 3", got)
 	}
 	// Slowing down would be feasible without the change cost but not with
 	// it: 4ms work, 5.2ms allocation at 1 GHz. No change: 769 MHz → 1000
 	// (current, OK). With change: 4/4.2 = 952 MHz → 1000 = current → stay.
-	if got := pol.gssPick(simTask(4e-3*1e9, 5.2e-3), 0, 3, &pol.cls[0]); got != 3 {
+	if got := pol.gssPick(4e-3*1e9, 5.2e-3, 0, 3, &pol.cls[0]); got != 3 {
 		t.Errorf("change not worthwhile = %d, want 3", got)
 	}
 }
@@ -86,12 +99,12 @@ func TestGssPickCompOverheadUsesCurrentFreq(t *testing.T) {
 	ov := power.Overheads{SpeedCompCycles: 1e6}
 	_, pol := newTestPolicy(t, GSS, 24e-3, ov)
 	// At 1 GHz: allocation 9ms − 1ms comp = 8ms for 4ms work → 500 MHz.
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 3, &pol.cls[0]); got != 2 {
+	if got := pol.gssPick(4e-3*1e9, 9e-3, 0, 3, &pol.cls[0]); got != 2 {
 		t.Errorf("comp overhead at fmax: got %d, want 2", got)
 	}
 	// At 125 MHz the same computation costs 8ms: allocation 9−8 = 1ms →
 	// must run flat out (current 125 MHz is far too slow).
-	if got := pol.gssPick(simTask(4e-3*1e9, 9e-3), 0, 0, &pol.cls[0]); got != 3 {
+	if got := pol.gssPick(4e-3*1e9, 9e-3, 0, 0, &pol.cls[0]); got != 3 {
 		t.Errorf("comp overhead at fmin: got %d, want 3", got)
 	}
 }
@@ -104,11 +117,11 @@ func TestSS1FloorApplies(t *testing.T) {
 	}
 	// GSS would pick f_min (level 0) for a task with huge allocation; the
 	// speculative floor lifts it to level 1.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 1, 0); got != 1 {
+	if got := pickLevel(t, pol, simTask(4e-3*1e9, 100e-3), 0, 1); got != 1 {
 		t.Errorf("SS1 PickLevel = %d, want floor 1", got)
 	}
 	// When GSS needs more than the floor, GSS wins.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 4e-3), 0, 3, 0); got != 3 {
+	if got := pickLevel(t, pol, simTask(4e-3*1e9, 4e-3), 0, 3); got != 3 {
 		t.Errorf("SS1 PickLevel under pressure = %d, want 3", got)
 	}
 }
@@ -123,7 +136,7 @@ func TestSS2SwitchPoint(t *testing.T) {
 	if !closeTo(pol.cls[0].switchAt, 12e-3) {
 		t.Fatalf("SS2 T_s = %g, want 12ms", pol.cls[0].switchAt)
 	}
-	if pol.floorAt(nil, 11e-3, &pol.cls[0]) != 0 || pol.floorAt(nil, 13e-3, &pol.cls[0]) != 1 {
+	if pol.floorAt(0, 11e-3, &pol.cls[0]) != 0 || pol.floorAt(0, 13e-3, &pol.cls[0]) != 1 {
 		t.Error("SS2 floor does not switch at T_s")
 	}
 	// Exactly on a level: SS2 degenerates to a single speed.
@@ -159,7 +172,7 @@ func TestASResetPerSection(t *testing.T) {
 	// Non-AS schemes ignore resetSection.
 	gss := newPolicy(plan, GSS, d)
 	gss.resetSection(plan.Sections.First.ID, 0)
-	if gss.floorAt(nil, 0, &gss.cls[0]) != -1 {
+	if gss.floorAt(0, 0, &gss.cls[0]) != -1 {
 		t.Error("GSS should have no speculative floor")
 	}
 }
@@ -178,12 +191,12 @@ func TestSpeculativeFloorRespectsChangeOverhead(t *testing.T) {
 	// unaffordable: 3.2ms left after the change cannot cover 4ms of work
 	// even at f_max). The floor (level 3) wants a change the allocation
 	// cannot pay for → fall back to the GSS choice.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 8.2e-3), 0, 2, 0); got != 2 {
+	if got := pickLevel(t, pol, simTask(4e-3*1e9, 8.2e-3), 0, 2); got != 2 {
 		t.Errorf("PickLevel = %d, want 2 (floor change unaffordable)", got)
 	}
 	// With a large allocation the change is affordable and the floor
 	// applies: 4ms work, 100ms allocation at level 0 → floor level 3.
-	if got := pol.PickLevel(simTask(4e-3*1e9, 100e-3), 0, 0, 0); got != 3 {
+	if got := pickLevel(t, pol, simTask(4e-3*1e9, 100e-3), 0, 0); got != 3 {
 		t.Errorf("PickLevel = %d, want 3 (floor applies)", got)
 	}
 }

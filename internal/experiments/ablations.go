@@ -153,7 +153,7 @@ func ablationReclaim() Experiment {
 // measureBiasedPoint is measurePoint with the sampler's average-case times
 // scaled by factor (exectime.Biased), sequential — the reclaim table is
 // small. Common random numbers still hold: every scheme of one run index
-// replays the same seed through the same biased sampler.
+// replays the same frame drawn through the biased sampler.
 func measureBiasedPoint(plan *core.Plan, schemes []core.Scheme, x, factor, deadline float64,
 	runs int, seed uint64) (Point, error) {
 	pt := Point{
@@ -173,29 +173,21 @@ func measureBiasedPoint(plan *core.Plan, schemes []core.Scheme, x, factor, deadl
 	accs := make([]stats.Acc, len(schemes))
 	chg := make([]stats.Acc, len(schemes))
 	var npmAcc stats.Acc
-	var base, res core.RunResult
+	var base core.RunResult
 	for r := 0; r < runs; r++ {
 		src.Reseed(seeds[r])
-		if err := plan.RunInto(core.RunConfig{
-			Scheme: core.NPM, Deadline: deadline, Sampler: sampler,
-		}, arena, &base); err != nil {
-			return pt, fmt.Errorf("experiments: NPM run %d: %w", r, err)
+		if err := plan.RunSchemesInto(core.RunConfig{Deadline: deadline, Sampler: sampler},
+			schemes, arena, &base, func(i int, res *core.RunResult) error {
+				if err := checkTiming(schemes[i], res); err != nil {
+					return err
+				}
+				accs[i].Add(res.Energy() / base.Energy())
+				chg[i].Add(float64(res.SpeedChanges))
+				return nil
+			}); err != nil {
+			return pt, fmt.Errorf("experiments: run %d: %w", r, err)
 		}
 		npmAcc.Add(base.Energy())
-		for i, s := range schemes {
-			src.Reseed(seeds[r])
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: sampler,
-			}, arena, &res); err != nil {
-				return pt, fmt.Errorf("experiments: %s run %d: %w", s, r, err)
-			}
-			if res.LSTViolations > 0 || !res.MetDeadline {
-				return pt, fmt.Errorf("experiments: %s run %d violated timing (finish %g, deadline %g, %d LST violations)",
-					s, r, res.Finish, deadline, res.LSTViolations)
-			}
-			accs[i].Add(res.Energy() / base.Energy())
-			chg[i].Add(float64(res.SpeedChanges))
-		}
 	}
 	for i, s := range schemes {
 		pt.NormEnergy[s] = accs[i].Mean()

@@ -96,14 +96,14 @@ func SetDefaultWorkers(n int) {
 }
 
 // pointWorker is one goroutine's reusable run state: a simulation arena, a
-// reseedable sampler and the two result holders. Every run of every scheme
+// reseedable sampler and the NPM baseline's result holder. Every frame
 // reuses these, so a data point's allocation count is O(workers), not
 // O(runs).
 type pointWorker struct {
-	arena     *core.Arena
-	src       *exectime.Source
-	sampler   *exectime.Sampler
-	base, res core.RunResult
+	arena   *core.Arena
+	src     *exectime.Source
+	sampler *exectime.Sampler
+	base    core.RunResult
 }
 
 func newPointWorker() *pointWorker {
@@ -137,33 +137,24 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 	npms := make([]float64, runs)      // absolute NPM energy
 	errs := make([]error, runs)
 	oneRun := func(w *pointWorker, r int) {
-		// Reseeding before every scheme reproduces the common-random-
-		// numbers discipline: within one run index every scheme sees the
-		// same actual execution times and OR branch outcomes.
+		// One common-random-numbers frame: within one run index NPM and
+		// every scheme see the same actual execution times and OR branch
+		// outcomes.
 		w.src.Reseed(seeds[r])
-		if err := plan.RunInto(core.RunConfig{
-			Scheme: core.NPM, Deadline: deadline, Sampler: w.sampler,
-		}, w.arena, &w.base); err != nil {
-			errs[r] = fmt.Errorf("experiments: NPM run %d: %w", r, err)
+		err := plan.RunSchemesInto(core.RunConfig{Deadline: deadline, Sampler: w.sampler},
+			schemes, w.arena, &w.base, func(i int, res *core.RunResult) error {
+				if err := checkTiming(schemes[i], res); err != nil {
+					return err
+				}
+				norms[r*k+i] = res.Energy() / w.base.Energy()
+				changes[r*k+i] = float64(res.SpeedChanges)
+				return nil
+			})
+		if err != nil {
+			errs[r] = fmt.Errorf("experiments: run %d: %w", r, err)
 			return
 		}
 		npms[r] = w.base.Energy()
-		for i, s := range schemes {
-			w.src.Reseed(seeds[r])
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: w.sampler,
-			}, w.arena, &w.res); err != nil {
-				errs[r] = fmt.Errorf("experiments: %s run %d: %w", s, r, err)
-				return
-			}
-			if w.res.LSTViolations > 0 || !w.res.MetDeadline {
-				errs[r] = fmt.Errorf("experiments: %s run %d violated timing (finish %g, deadline %g, %d LST violations)",
-					s, r, w.res.Finish, deadline, w.res.LSTViolations)
-				return
-			}
-			norms[r*k+i] = w.res.Energy() / w.base.Energy()
-			changes[r*k+i] = float64(w.res.SpeedChanges)
-		}
 	}
 
 	if workers <= 0 {
@@ -222,6 +213,17 @@ func measurePoint(plan *core.Plan, schemes []core.Scheme, x, deadline float64,
 	return pt, nil
 }
 
+// checkTiming reports a run of scheme s that missed its deadline or
+// started a task after its latest start time — Theorem 1 says neither
+// happens.
+func checkTiming(s core.Scheme, res *core.RunResult) error {
+	if res.LSTViolations > 0 || !res.MetDeadline {
+		return fmt.Errorf("%s violated timing (finish %g, deadline %g, %d LST violations)",
+			s, res.Finish, res.Deadline, res.LSTViolations)
+	}
+	return nil
+}
+
 // Comparison is the outcome of CompareSchemes: the paired energy
 // difference of two schemes on identical frames.
 type Comparison struct {
@@ -245,30 +247,19 @@ func CompareSchemes(plan *core.Plan, a, b core.Scheme, deadline float64,
 	var paired stats.Paired
 	master := exectime.NewSource(seed)
 	w := newPointWorker()
+	schemes := []core.Scheme{a, b}
+	var energy [2]float64
 	for r := 0; r < runs; r++ {
-		runSeed := master.Uint64()
-		one := func(s core.Scheme) (float64, error) {
-			w.src.Reseed(runSeed)
-			if err := plan.RunInto(core.RunConfig{
-				Scheme: s, Deadline: deadline, Sampler: w.sampler,
-			}, w.arena, &w.res); err != nil {
-				return 0, err
-			}
-			return w.res.Energy(), nil
+		w.src.Reseed(master.Uint64())
+		if err := plan.RunSchemesInto(core.RunConfig{Deadline: deadline, Sampler: w.sampler},
+			schemes, w.arena, &w.base, func(i int, res *core.RunResult) error {
+				energy[i] = res.Energy()
+				return nil
+			}); err != nil {
+			return cmp, fmt.Errorf("experiments: run %d: %w", r, err)
 		}
-		base, err := one(core.NPM)
-		if err != nil {
-			return cmp, err
-		}
-		ea, err := one(a)
-		if err != nil {
-			return cmp, err
-		}
-		eb, err := one(b)
-		if err != nil {
-			return cmp, err
-		}
-		paired.Add(ea/base, eb/base)
+		base := w.base.Energy()
+		paired.Add(energy[0]/base, energy[1]/base)
 	}
 	cmp.MeanDiff = paired.MeanDiff()
 	cmp.CI95 = paired.CI95()

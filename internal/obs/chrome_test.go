@@ -19,8 +19,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // dvs-overhead slices and speed-change instants.
 type levelHopPolicy struct{ n int }
 
-func (p levelHopPolicy) PickLevel(t *sim.Task, _ float64, _, _ int) int {
-	return (t.Node * 3) % p.n
+func (p levelHopPolicy) PickLevel(t *sim.Template, task int, _ float64, _, _ int) int {
+	return (t.Node[task] * 3) % p.n
 }
 
 // twoProcRun executes a small deterministic diamond (A → B,C → D with an

@@ -5,8 +5,8 @@ package sim
 // ready queue, the event heap, and the Result's record/timeline buffers.
 // Acquiring one Arena per worker and reusing it across runs makes
 // steady-state engine runs allocation-free: after a warm-up run on the
-// largest section, (*Arena).Run performs zero heap allocations as long as
-// Config.Tracer and Config.Metrics are nil.
+// largest section, (*Arena).RunTemplate and (*Arena).Run perform zero heap
+// allocations as long as Config.Tracer and Config.Metrics are nil.
 //
 // An Arena is not safe for concurrent use; use one per goroutine. Results
 // are bit-identical to the package-level Run for any reuse pattern: the
@@ -19,15 +19,24 @@ type Arena struct {
 // retained across runs.
 func NewArena() *Arena { return &Arena{} }
 
+// RunTemplate runs one section from its sealed template and this run's
+// actual work (workA[i] for task i; 0 for dummies): the engine's one
+// entry point. The returned Result and every slice it references
+// (Records, BusyTime, OverheadTime, FinalLevels) are owned by the arena
+// and valid only until the next run on the same arena; callers that need
+// the data longer must copy it. Neither tmpl nor workA is retained or
+// modified.
+func (a *Arena) RunTemplate(cfg Config, tmpl *Template, workA []float64) (*Result, error) {
+	a.rs.cfg = cfg
+	return a.rs.run(tmpl, workA)
+}
+
 // Run is the arena-threaded form of the package-level Run: identical
-// semantics and bit-identical results, but all scratch state comes from the
-// arena. The returned Result and every slice it references (Records,
-// BusyTime, OverheadTime, FinalLevels) are owned by the arena and valid
-// only until the next Run on the same arena; callers that need the data
-// longer must copy it.
+// semantics and bit-identical results, with the task conversion and all
+// scratch state in the arena. Result ownership is as for RunTemplate.
 func (a *Arena) Run(cfg Config, tasks []*Task) (*Result, error) {
 	a.rs.cfg = cfg
-	return a.rs.run(tasks)
+	return a.rs.runTasks(tasks)
 }
 
 // ensureInts returns buf resized to n, reusing its backing array when the

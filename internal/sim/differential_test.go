@@ -38,6 +38,10 @@ func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc [
 	finish = make([]float64, n)
 	proc = make([]int, n)
 
+	tmpl, _, err := NewTemplate(tasks)
+	if err != nil {
+		panic(err)
+	}
 	byOrder := make([]int, n)
 	for ti, t := range tasks {
 		byOrder[t.Order] = ti
@@ -68,7 +72,7 @@ func referenceRun(cfg Config, tasks []*Task) (dispatch, finish []float64, proc [
 		if !t.Dummy {
 			compT = cfg.Overheads.CompTime(cfg.Platform.Levels()[lvl].Freq)
 			if cfg.Policy != nil {
-				lvl = cfg.Policy.PickLevel(t, d, levels[best], 0)
+				lvl = cfg.Policy.PickLevel(tmpl, ti, d, levels[best], 0)
 			} else {
 				lvl = cfg.Platform.MaxIndex()
 				compT = 0

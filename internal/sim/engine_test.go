@@ -18,7 +18,26 @@ func testPlat() *power.Platform {
 // fixedPolicy always picks one level.
 type fixedPolicy int
 
-func (f fixedPolicy) PickLevel(*Task, float64, int, int) int { return int(f) }
+func (f fixedPolicy) PickLevel(*Template, int, float64, int, int) int { return int(f) }
+
+// mustTemplate converts tasks with NewTemplate, failing the test on error.
+func mustTemplate(tb testing.TB, tasks []*Task) (*Template, []float64) {
+	tb.Helper()
+	tmpl, workA, err := NewTemplate(tasks)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tmpl, workA
+}
+
+// validateTasks is ValidateResult over the []*Task input of a run.
+func validateTasks(cfg Config, tasks []*Task, res *Result) error {
+	tmpl, workA, err := NewTemplate(tasks)
+	if err != nil {
+		return err
+	}
+	return ValidateResult(cfg, tmpl, workA, res)
+}
 
 // task builds a compute task with work in mega-cycles.
 func task(name string, workW, workA float64, preds, succs []int) *Task {
@@ -394,7 +413,8 @@ func TestGantt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Gantt(p, Entries(tasks, res.Records))
+	tmpl, _ := mustTemplate(t, tasks)
+	out := Gantt(p, Entries(tmpl, res.Records))
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "P0") || !strings.Contains(out, "400MHz") {
 		t.Errorf("Gantt output wrong:\n%s", out)
 	}

@@ -22,7 +22,8 @@ func exportEntries(t *testing.T) (*power.Platform, []GanttEntry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, Entries(tasks, res.Records)
+	tmpl, _ := mustTemplate(t, tasks)
+	return p, Entries(tmpl, res.Records)
 }
 
 func TestChromeTrace(t *testing.T) {

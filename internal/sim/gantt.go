@@ -19,12 +19,12 @@ type GanttEntry struct {
 }
 
 // Entries converts one engine run's records to Gantt entries using the
-// run's task slice for names.
-func Entries(tasks []*Task, records []Record) []GanttEntry {
+// run's template for names.
+func Entries(t *Template, records []Record) []GanttEntry {
 	out := make([]GanttEntry, len(records))
 	for i, r := range records {
 		out[i] = GanttEntry{
-			Proc: r.Proc, Name: tasks[r.Task].Name,
+			Proc: r.Proc, Name: t.Name[r.Task],
 			Dispatch: r.Dispatch, Finish: r.Finish,
 			Level: r.Level, CompOH: r.CompOH, ChangeOH: r.ChangeOH,
 		}

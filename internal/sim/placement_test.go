@@ -14,7 +14,7 @@ type clampPolicy struct {
 	lvl int
 }
 
-func (f clampPolicy) PickLevel(_ *Task, _ float64, _ int, class int) int {
+func (f clampPolicy) PickLevel(_ *Template, _ int, _ float64, _ int, class int) int {
 	if max := f.h.Class(class).Plat.MaxIndex(); f.lvl > max {
 		return max
 	}
@@ -92,7 +92,7 @@ func TestHetero1ClassSimDifferential(t *testing.T) {
 			t.Logf("seed %d: 1-class heterogeneous run diverged from homogeneous", seed)
 			return false
 		}
-		if err := ValidateResult(hcfg, tasks, got); err != nil {
+		if err := validateTasks(hcfg, tasks, got); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -125,9 +125,13 @@ func onlineTask(workMcycles, lft float64) *Task {
 
 // pick scans views for the one p prefers, as the engine's idle scan does.
 func pick(p PlacementPolicy, t *Task, views []ProcView) int {
+	tmpl, _, err := NewTemplate([]*Task{t})
+	if err != nil {
+		panic(err)
+	}
 	best := 0
 	for i := 1; i < len(views); i++ {
-		if p.Prefer(t, &views[i], &views[best]) {
+		if p.Prefer(tmpl, 0, &views[i], &views[best]) {
 			best = i
 		}
 	}
@@ -267,7 +271,7 @@ func TestClassAffinitySteering(t *testing.T) {
 			}
 		}
 	}
-	if err := ValidateResult(Config{Hetero: hp, Mode: ByOrder}, []*Task{tagged, plain}, res); err != nil {
+	if err := validateTasks(Config{Hetero: hp, Mode: ByOrder}, []*Task{tagged, plain}, res); err != nil {
 		t.Error(err)
 	}
 }

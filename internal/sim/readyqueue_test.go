@@ -9,11 +9,11 @@ import (
 // first queued task the new one must precede. The binary-search push must
 // land every task in exactly this position.
 func pushLinear(rq *readyQueue, ti int) {
-	t := rq.tasks[ti]
+	w, node := rq.tmpl.WorkW, rq.tmpl.Node
 	pos := len(rq.pq)
 	for i := rq.pqHead; i < len(rq.pq); i++ {
-		o := rq.tasks[rq.pq[i]]
-		if t.WorkW > o.WorkW || (t.WorkW == o.WorkW && t.Node < o.Node) {
+		o := rq.pq[i]
+		if w[ti] > w[o] || (w[ti] == w[o] && node[ti] < node[o]) {
 			pos = i
 			break
 		}
@@ -42,9 +42,10 @@ func TestReadyQueuePushMatchesLinear(t *testing.T) {
 		}
 		perm := rng.Perm(n)
 
+		tmpl, _ := mustTemplate(t, tasks)
 		var got, want readyQueue
-		got.reset(ByPriority, tasks)
-		want.reset(ByPriority, tasks)
+		got.reset(ByPriority, tmpl)
+		want.reset(ByPriority, tmpl)
 		for _, ti := range perm {
 			got.push(ti)
 			pushLinear(&want, ti)

@@ -27,8 +27,9 @@ const valTol = 1e-9
 //
 // cfg is the configuration the run was made with: its machine (each
 // record's level bound and duration are checked against its processor
-// class's own DVS table and effective rate Speed·f), Mode and Start.
-func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
+// class's own DVS table and effective rate Speed·f), Mode and Start; tmpl
+// and workA are the run's template and actual work.
+func ValidateResult(cfg Config, tmpl *Template, workA []float64, res *Result) error {
 	h := cfg.Hetero
 	if h == nil {
 		var err error
@@ -37,17 +38,18 @@ func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
 		}
 	}
 	mode, start := cfg.Mode, cfg.Start
-	if len(res.Records) != len(tasks) {
-		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), len(tasks))
+	n, name := tmpl.Len(), tmpl.Name
+	if len(res.Records) != n {
+		return fmt.Errorf("sim: %d records for %d tasks", len(res.Records), n)
 	}
-	byTask := make([]*Record, len(tasks))
+	byTask := make([]*Record, n)
 	for i := range res.Records {
 		r := &res.Records[i]
-		if r.Task < 0 || r.Task >= len(tasks) {
+		if r.Task < 0 || r.Task >= n {
 			return fmt.Errorf("sim: record references task %d", r.Task)
 		}
 		if byTask[r.Task] != nil {
-			return fmt.Errorf("sim: task %q executed twice", tasks[r.Task].Name)
+			return fmt.Errorf("sim: task %q executed twice", name[r.Task])
 		}
 		byTask[r.Task] = r
 		if r.Proc < 0 || r.Proc >= len(res.BusyTime) || r.Proc >= h.NumProcs() {
@@ -56,19 +58,19 @@ func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
 		cl := h.Class(h.ClassOf(r.Proc))
 		platform, speed := cl.Plat, cl.Speed
 		if r.Level < 0 || r.Level >= platform.NumLevels() {
-			return fmt.Errorf("sim: task %q ran at invalid level %d", tasks[r.Task].Name, r.Level)
+			return fmt.Errorf("sim: task %q ran at invalid level %d", name[r.Task], r.Level)
 		}
 		if r.Dispatch < start-valTol {
-			return fmt.Errorf("sim: task %q dispatched at %g before start %g", tasks[r.Task].Name, r.Dispatch, start)
+			return fmt.Errorf("sim: task %q dispatched at %g before start %g", name[r.Task], r.Dispatch, start)
 		}
 		if math.Abs(r.Start-(r.Dispatch+r.CompOH+r.ChangeOH)) > valTol {
 			return fmt.Errorf("sim: task %q start %g ≠ dispatch %g + overheads %g",
-				tasks[r.Task].Name, r.Start, r.Dispatch, r.CompOH+r.ChangeOH)
+				name[r.Task], r.Start, r.Dispatch, r.CompOH+r.ChangeOH)
 		}
-		wantDur := tasks[r.Task].WorkA / (platform.Levels()[r.Level].Freq * speed)
+		wantDur := workA[r.Task] / (platform.Levels()[r.Level].Freq * speed)
 		if math.Abs((r.Finish-r.Start)-wantDur) > valTol {
 			return fmt.Errorf("sim: task %q duration %g ≠ work/freq %g",
-				tasks[r.Task].Name, r.Finish-r.Start, wantDur)
+				name[r.Task], r.Finish-r.Start, wantDur)
 		}
 	}
 
@@ -85,7 +87,7 @@ func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
 		for i, r := range rs {
 			if i > 0 && r.Dispatch < rs[i-1].Finish-valTol {
 				return fmt.Errorf("sim: processor %d runs %q before %q finished",
-					proc, tasks[r.Task].Name, tasks[rs[i-1].Task].Name)
+					proc, name[r.Task], name[rs[i-1].Task])
 			}
 			busy[proc] += r.Finish - r.Start
 			oh[proc] += r.CompOH + r.ChangeOH
@@ -102,20 +104,20 @@ func ValidateResult(cfg Config, tasks []*Task, res *Result) error {
 
 	// Precedence: a task may not be dispatched before its predecessors
 	// finished.
-	for ti, t := range tasks {
-		for _, pi := range t.Preds {
+	for ti := 0; ti < n; ti++ {
+		for _, pi := range tmpl.PredsOf(ti) {
 			if byTask[ti].Dispatch < byTask[pi].Finish-valTol {
 				return fmt.Errorf("sim: task %q dispatched at %g before predecessor %q finished at %g",
-					t.Name, byTask[ti].Dispatch, tasks[pi].Name, byTask[pi].Finish)
+					name[ti], byTask[ti].Dispatch, name[pi], byTask[pi].Finish)
 			}
 		}
 	}
 
 	// Order gate: dispatch instants must be non-decreasing in task order.
 	if mode == ByOrder {
-		inOrder := make([]*Record, len(tasks))
-		for ti, t := range tasks {
-			inOrder[t.Order] = byTask[ti]
+		inOrder := make([]*Record, n)
+		for ti, o := range tmpl.Order {
+			inOrder[o] = byTask[ti]
 		}
 		for i := 1; i < len(inOrder); i++ {
 			if inOrder[i].Dispatch < inOrder[i-1].Dispatch-valTol {

@@ -30,7 +30,7 @@ func runValid(t *testing.T) (*power.Platform, []*Task, *Result) {
 
 func TestValidateAcceptsEngineOutput(t *testing.T) {
 	p, tasks, res := runValid(t)
-	if err := ValidateResult(Config{Platform: p, Mode: ByOrder, Start: 2}, tasks, res); err != nil {
+	if err := validateTasks(Config{Platform: p, Mode: ByOrder, Start: 2}, tasks, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,7 +79,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p, tasks, res := runValid(t)
 			c.corrupt(tasks, res)
-			err := ValidateResult(Config{Platform: p, Mode: ByOrder, Start: 2}, tasks, res)
+			err := validateTasks(Config{Platform: p, Mode: ByOrder, Start: 2}, tasks, res)
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -102,7 +102,7 @@ func TestValidateByPrioritySkipsOrderGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateResult(Config{Platform: p, Mode: ByPriority}, tasks, res); err != nil {
+	if err := validateTasks(Config{Platform: p, Mode: ByPriority}, tasks, res); err != nil {
 		t.Fatal(err)
 	}
 }
