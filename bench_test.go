@@ -276,6 +276,43 @@ func BenchmarkRunGSSSyntheticArena(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSchemesFrame is one common-random-numbers frame as the
+// experiments run it: ATR on two Transmeta processors at load 0.5, the
+// NPM baseline plus the paper's five schemes (SPM, GSS, SS1, SS2, AS) on
+// one resolved script, through a warmed arena — 0 allocs/op. Divide ns/op
+// by 6 for the cost per simulated run.
+func BenchmarkRunSchemesFrame(b *testing.B) {
+	plan, err := core.NewPlan(workload.ATR(workload.DefaultATRConfig()), 2,
+		power.Transmeta5400(), power.DefaultOverheads())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := exectime.NewSource(1)
+	cfg := core.RunConfig{Deadline: plan.CTWorst / 0.5, Sampler: exectime.NewSampler(src)}
+	schemes := core.Schemes[1:] // SPM, GSS, SS1, SS2, AS
+	arena := core.NewArena()
+	var base core.RunResult
+	var sum float64
+	frame := func(seed uint64) {
+		src.Reseed(seed)
+		if err := plan.RunSchemesInto(cfg, schemes, arena, &base, func(_ int, res *core.RunResult) error {
+			sum += res.Energy() / base.Energy()
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 64; i++ { // warm-up sizes every buffer
+		frame(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(uint64(i))
+	}
+	b.ReportMetric(float64(len(schemes)+1), "runs/frame")
+}
+
 // BenchmarkRunORA is BenchmarkRunGSSSyntheticArena under the online
 // reclamation scheme: the estimator update after every section is the
 // only extra work over AS, so ORA must stay within a few percent of the
@@ -454,7 +491,9 @@ func BenchmarkEngineSection(b *testing.B) {
 }
 
 // BenchmarkEngineSectionArena is BenchmarkEngineSection through a warmed
-// sim.Arena — the raw engine's zero-allocation steady state.
+// sim.Arena — the raw engine's zero-allocation steady state: the section's
+// template is built once, as a plan builds it, and each run replays it
+// with its work vector.
 func BenchmarkEngineSectionArena(b *testing.B) {
 	plat := power.Transmeta5400()
 	const n = 64
@@ -467,15 +506,19 @@ func BenchmarkEngineSectionArena(b *testing.B) {
 		}
 		tasks[i] = t
 	}
+	tmpl, workA, err := sim.NewTemplate(tasks)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := sim.Config{Platform: plat, Mode: sim.ByOrder, Procs: 4}
 	arena := sim.NewArena()
-	if _, err := arena.Run(cfg, tasks); err != nil { // warm-up
+	if _, err := arena.RunTemplate(cfg, tmpl, workA); err != nil { // warm-up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := arena.Run(cfg, tasks); err != nil {
+		if _, err := arena.RunTemplate(cfg, tmpl, workA); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,6 +46,42 @@ func TestRunIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRunSchemesIntoZeroAllocs: a warmed frame — NPM plus every scheme,
+// CLV's probe included, with a callback that reads each result — performs
+// zero steady-state heap allocations, on an identical-processor and a
+// heterogeneous plan.
+func TestRunSchemesIntoZeroAllocs(t *testing.T) {
+	for name, plan := range framePlans(t) {
+		src := exectime.NewSource(0)
+		cfg := RunConfig{Deadline: plan.CTWorst / 0.5, Sampler: exectime.NewSampler(src)}
+		schemes := frameSchemes()
+		a := NewArena()
+		var base RunResult
+		var energy float64
+		frame := func(seed uint64) {
+			src.Reseed(seed)
+			if err := plan.RunSchemesInto(cfg, schemes, a, &base, func(_ int, res *RunResult) error {
+				energy += res.Energy() / base.Energy()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const cycle = 20 // seeds replayed during measurement, all seen in warm-up
+		for i := uint64(0); i < cycle; i++ {
+			frame(i)
+		}
+		var i uint64
+		allocs := testing.AllocsPerRun(50, func() {
+			frame(i % cycle)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warmed RunSchemesInto allocates %.1f times per frame, want 0", name, allocs)
+		}
+	}
+}
+
 // TestRunStreamArenaAllocs asserts that a long stream through one arena
 // allocates per stream, not per frame: the per-frame overhead of a warmed
 // 400-frame stream is below one allocation per hundred frames.

@@ -102,19 +102,11 @@ func (p *Plan) RunStreamArena(cfg StreamConfig, a *Arena) (*StreamResult, error)
 	var res RunResult
 	var carry []int
 	for f := 0; f < cfg.Frames; f++ {
-		sc := p.resolve(runCfg, a)
-		var err error
-		if cfg.Scheme == CLV {
-			err = p.runClairvoyant(runCfg, a, sc, &res)
-		} else {
-			var levels []int
-			if cfg.CarryLevels {
-				levels = carry // nil on the first frame → scheme default
-			}
-			a.pol.init(p, cfg.Scheme, cfg.Period)
-			err = p.execute(runCfg, a, sc, &a.pol, levels, &res)
+		var levels []int
+		if cfg.CarryLevels {
+			levels = carry // nil on the first frame → scheme default
 		}
-		if err != nil {
+		if err := p.replay(runCfg, a, p.resolve(runCfg, a), levels, &res); err != nil {
 			return nil, fmt.Errorf("core: frame %d: %w", f, err)
 		}
 		out.ActiveEnergy += res.ActiveEnergy

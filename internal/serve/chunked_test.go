@@ -298,21 +298,25 @@ func TestFanOutAdmission(t *testing.T) {
 	defer p.Close()
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	// Occupy the worker and the only queue slot.
+	// Occupy the worker and the only queue slot: wait for one job to run,
+	// then for the other to sit in the queue behind it.
+	pinned := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) { <-gate })
+			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {
+				pinned <- struct{}{}
+				<-gate
+			})
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.QueueDepth() < 1 || p.InFlight() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never saturated")
-		}
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-pinned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never pinned")
 	}
+	waitQueued(t, p, 1)
 	errc := make(chan error, 1)
 	go func() {
 		errc <- p.fanOut(context.Background(), 4, nil,

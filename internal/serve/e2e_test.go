@@ -144,6 +144,7 @@ func TestE2EBackpressure(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
+	streaming := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
@@ -158,6 +159,9 @@ func TestE2EBackpressure(t *testing.T) {
 				t.Errorf("occupier status %d", resp.StatusCode)
 				return
 			}
+			// The Monte-Carlo path commits its 200 only once a worker
+			// runs the job, so a started stream proves the worker pinned.
+			streaming <- struct{}{}
 			// Drain fully: the stream must end with a summary even though
 			// the server was saturated while it ran.
 			sc := bufio.NewScanner(resp.Body)
@@ -174,13 +178,17 @@ func TestE2EBackpressure(t *testing.T) {
 		}()
 	}
 
-	// Wait until worker + queue slot are taken. InFlight also counts the
-	// occupiers' plan-compile jobs on a cold cache, so this gate alone
-	// does not prove the run jobs hold the queue yet — the burst below
-	// keeps probing until the occupiers are done rather than trusting a
-	// single snapshot.
+	// Wait until one occupier's job runs on the worker and the other's
+	// holds the queue slot behind it. (InFlight would also count a
+	// submission not yet queued.) The burst below still keeps probing
+	// until the occupiers are done rather than trusting one snapshot.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.InFlight() < 2 {
+	select {
+	case <-streaming:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("no occupier ever ran")
+	}
+	for s.pool.QueueDepth() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never saturated")
 		}

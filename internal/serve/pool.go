@@ -31,8 +31,8 @@ type Worker struct {
 	Arena   *core.Arena
 	Src     *exectime.Source
 	Sampler *exectime.Sampler
-	// Res and Base are result holders jobs may reuse (e.g. scheme runs and
-	// their NPM baseline).
+	// Res and Base are result holders jobs may reuse (a run's result, and
+	// a compare frame's NPM baseline).
 	Res, Base core.RunResult
 
 	// pw is the pool worker this state belongs to: the owner of the plan

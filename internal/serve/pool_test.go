@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
 )
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -33,6 +32,35 @@ func TestPoolRunsJobs(t *testing.T) {
 	}
 }
 
+// waitQueued waits until n jobs sit in p's queues. The tests pin every
+// worker first, so queued jobs stay queued; InFlight is no substitute, as
+// it also counts a submission that has not reached the queue yet and that
+// a later submission can overtake.
+func waitQueued(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.QueueDepth() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", p.QueueDepth(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitSettled waits until p's in-flight count drains to zero. A worker
+// settles the count just after waking the job's submitter, so a snapshot
+// taken when the submitter returns can still see the job.
+func waitSettled(t *testing.T, p *Pool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for p.InFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight count settled at %d, want 0", p.InFlight())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestPoolQueueFull(t *testing.T) {
 	p := NewPool(1, 1, 16)
 	defer p.Close()
@@ -50,14 +78,9 @@ func TestPoolQueueFull(t *testing.T) {
 	go func() {
 		queued <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
 	}()
-	// Wait until the queue slot is actually taken.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.InFlight() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued job never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the queue slot is actually taken: InFlight also counts a
+	// submission still on its way into the queue.
+	waitQueued(t, p, 1)
 
 	// Now the pool is saturated: submissions must fail fast.
 	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrQueueFull) {
@@ -87,9 +110,7 @@ func TestPoolSkipsExpiredQueuedJobs(t *testing.T) {
 	go func() {
 		errc <- p.Do(ctx, func(ctx context.Context, w *Worker) { ran = true })
 	}()
-	for p.InFlight() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 1)
 	cancel() // the queued job's request gives up
 	close(block)
 	if err := <-errc; !errors.Is(err, context.Canceled) {
@@ -143,9 +164,7 @@ func TestPoolCloseDrainsQueued(t *testing.T) {
 			}
 		}()
 	}
-	for p.InFlight() < 6 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 5)
 	close(block)
 	p.Close() // must wait for all queued jobs
 	wg.Wait()
@@ -227,13 +246,7 @@ func TestPoolCancelMidQueue(t *testing.T) {
 	}
 	// Every path — ran, skipped, rejected — must settle the in-flight
 	// count exactly once.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.InFlight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("in-flight count settled at %d, want 0", p.InFlight())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSettled(t, p)
 }
 
 // TestPoolDoWaitBlocksForSpace: DoWait must ride out a full queue instead
@@ -254,9 +267,7 @@ func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	go func() {
 		queued <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
 	}()
-	for p.InFlight() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 1)
 
 	// Do fails fast; DoWait blocks until the queue drains, then runs.
 	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrQueueFull) {
@@ -293,9 +304,7 @@ func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	go func() {
 		filler <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
 	}()
-	for p.InFlight() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	waitErr := make(chan error, 1)
 	go func() {
@@ -352,9 +361,7 @@ func TestPoolRetryAfter(t *testing.T) {
 			p.Do(context.Background(), func(ctx context.Context, w *Worker) {})
 		}()
 	}
-	for p.InFlight() < 5 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 4)
 	got := p.RetryAfter()
 	if got < time.Second || got > 60*time.Second {
 		t.Errorf("saturated RetryAfter %v outside [1s, 60s]", got)

@@ -284,9 +284,7 @@ func TestQueueWaitCancellation(t *testing.T) {
 	if len(phases) != 1 || phases[0] != PhaseQueue {
 		t.Errorf("cancelled-while-queued job recorded %v, want exactly [queue]", phases)
 	}
-	if n := p.InFlight(); n != 0 {
-		t.Errorf("InFlight = %d after drain, want 0", n)
-	}
+	waitSettled(t, p)
 	if age := p.OldestQueueAge(); age != 0 {
 		t.Errorf("OldestQueueAge = %v after drain, want 0", age)
 	}
@@ -315,12 +313,7 @@ func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 	go func() {
 		doneB <- p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {})
 	}()
-	for i := 0; p.InFlight() < 2; i++ {
-		if i > 1000 {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, 1)
 
 	// A traced DoWait now blocks on the send; cancel it there.
 	rec := f.Start("/v1/batch", "", time.Now())
@@ -348,9 +341,7 @@ func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 	if len(phases) != 1 || phases[0] != PhaseQueue {
 		t.Errorf("cancelled-before-send job recorded %v, want exactly [queue]", phases)
 	}
-	if n := p.InFlight(); n != 0 {
-		t.Errorf("InFlight = %d after drain, want 0", n)
-	}
+	waitSettled(t, p)
 	if age := p.OldestQueueAge(); age != 0 {
 		t.Errorf("OldestQueueAge = %v after drain, want 0", age)
 	}
