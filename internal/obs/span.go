@@ -309,6 +309,16 @@ func (r *TraceRec) RecordOffsetN(phase string, startOff time.Duration, n int64) 
 	r.recordOffsets(phase, startOff, time.Since(r.start), "", n)
 }
 
+// RecordOffsetsN appends a span with both offsets supplied by the caller
+// and a count — for producers that aggregate several timed pieces of work
+// into one span (the Monte-Carlo executor's per-lane exec.mc spans).
+func (r *TraceRec) RecordOffsetsN(phase string, startOff, endOff time.Duration, n int64) {
+	if r == nil {
+		return
+	}
+	r.recordOffsets(phase, startOff, endOff, "", n)
+}
+
 func (r *TraceRec) record(phase string, start time.Time, detail string, n int64) {
 	// time.Since over the record's monotonic start is the cheap half of
 	// the clock (one nanotime read, no wall-clock VDSO call); with several

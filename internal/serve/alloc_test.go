@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -142,8 +143,10 @@ func TestRunRequestWarmAllocs(t *testing.T) {
 
 // TestRunRequestAllocsPerRun bounds the handler's marginal cost per
 // simulated run: after warmup, growing a /v1/run request by 300 extra runs
-// may only add the allocations of encoding 300 extra rows — nothing
-// proportional to the application's size (ATR has ~100 tasks per frame).
+// may add at most one allocation per run. Rows are encoded without
+// reflection into reused block buffers, so what remains is per block (its
+// pool job) and the recorder's body growth — nothing proportional to the
+// application's size (ATR has ~100 tasks per frame).
 func TestRunRequestAllocsPerRun(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueSize: 8})
 	request := func(runs int) func() {
@@ -164,7 +167,53 @@ func TestRunRequestAllocsPerRun(t *testing.T) {
 	allocsLarge := testing.AllocsPerRun(5, large)
 	perRun := (allocsLarge - allocsSmall) / 300
 	t.Logf("allocs: runs=50 %.0f, runs=350 %.0f, marginal %.2f/run", allocsSmall, allocsLarge, perRun)
-	if perRun > 32 {
-		t.Errorf("marginal cost %.1f allocs per simulated run; want O(row encoding), <= 32", perRun)
+	if perRun > 1 {
+		t.Errorf("marginal cost %.2f allocs per simulated run; want <= 1", perRun)
+	}
+}
+
+// discardStream is a ResponseWriter and Flusher that drops the body, so a
+// memory measurement of the streaming path counts the server's own
+// allocations, not a recorder's growing buffer.
+type discardStream struct {
+	hdr    http.Header
+	status int
+	n      int64
+}
+
+func (d *discardStream) Header() http.Header         { return d.hdr }
+func (d *discardStream) WriteHeader(code int)        { d.status = code }
+func (d *discardStream) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
+func (d *discardStream) Flush()                      {}
+
+// TestRunStreamMemoryBounded is the per-request memory gate: a
+// Monte-Carlo /v1/run holds at most 2·width blocks of rows whatever runs
+// is, so growing a request from 10000 to 100000 runs may add only O(W·K)
+// allocation — under 64 bytes per extra run — where a whole-request row
+// buffer grows by hundreds of bytes per run.
+func TestRunStreamMemoryBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	s := newTestServer(t, Config{Workers: 2, QueueSize: 8, MaxRuns: 100000})
+	alloc := func(runs int) uint64 {
+		body := fmt.Sprintf(`{"workload":"atr","scheme":"GSS","runs":%d,"seed":11}`, runs)
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
+		w := &discardStream{hdr: make(http.Header)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if w.status != http.StatusOK || w.n == 0 {
+			t.Fatalf("runs=%d: status %d, %d bytes", runs, w.status, w.n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(10000) // compile the plan, warm the arenas and block buffers
+	small, large := alloc(10000), alloc(100000)
+	perRun := (float64(large) - float64(small)) / 90000
+	t.Logf("TotalAlloc: runs=10000 %d B, runs=100000 %d B, marginal %.2f B/run", small, large, perRun)
+	if perRun >= 64 {
+		t.Errorf("marginal allocation %.1f B per extra run, want < 64 (O(W·K), not O(runs))", perRun)
 	}
 }

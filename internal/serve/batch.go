@@ -224,7 +224,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					if !cfg.WorstCase {
 						cfg.Sampler = wk.Sampler
 					}
-					sum, err := monteCarlo(ctx, wk, it.plan, cfg, it.runs, it.seed, nil)
+					sum, err := monteCarlo(ctx, wk, it.plan, cfg, it.runs, it.seed)
 					done += int64(sum.Runs)
 					if err != nil {
 						if ctx.Err() != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"andorsched/internal/core"
+	"andorsched/internal/exectime"
 )
 
 // TestChunkCount pins the splitting policy: explicit chunk counts are
@@ -54,11 +58,75 @@ func TestChunkCount(t *testing.T) {
 	}
 }
 
-// TestChunkedRunDifferential is the issue's gate: for every scheme, on
-// homogeneous and heterogeneous platforms, a chunked /v1/run must answer
-// the byte-for-byte identical NDJSON body — every row and the summary —
-// as the serial (chunks:1) form of the same request, for every chunk
-// count. Not statistically equivalent: identical.
+// referenceRunBody is the /v1/run differential's independent oracle:
+// the serial Monte-Carlo loop the service ran before the block executor —
+// reseed run i from the master stream's i-th draw, RunInto, fillRow,
+// json.Encoder per row, MCStats.Observe, and the mcSummary trailer — on a
+// test-owned worker. A runs=1 request answers one JSON row seeded
+// directly, without a summary.
+func referenceRunBody(t testing.TB, s *Server, body string) string {
+	t.Helper()
+	var req RunRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	plan, _, apiErr := s.planFor(context.Background(), &req.AppSpec)
+	if apiErr != nil {
+		t.Fatalf("%s: plan: %s", body, apiErr.msg)
+	}
+	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+	if apiErr != nil {
+		t.Fatalf("%s: deadline: %s", body, apiErr.msg)
+	}
+	if req.Scheme == "" {
+		req.Scheme = "GSS"
+	}
+	scheme, err := core.ParseScheme(req.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := exectime.NewSource(0)
+	wk := &Worker{Arena: core.NewArena(), Src: src, Sampler: exectime.NewSampler(src)}
+	cfg := core.RunConfig{Scheme: scheme, Deadline: deadline, WorstCase: req.Worst}
+	if !req.Worst {
+		cfg.Sampler = wk.Sampler
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var row RunRow
+	if req.Runs <= 1 {
+		wk.Src.Reseed(req.Seed)
+		if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
+			t.Fatal(err)
+		}
+		fillRow(&row, 0, &wk.Res)
+		_ = enc.Encode(&row)
+		return buf.String()
+	}
+	var mc core.MCStats
+	var master exectime.Source
+	master.Reseed(req.Seed)
+	for i := 0; i < req.Runs; i++ {
+		wk.Src.Reseed(master.Uint64())
+		if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
+			t.Fatal(err)
+		}
+		fillRow(&row, i, &wk.Res)
+		if err := enc.Encode(&row); err != nil {
+			t.Fatal(err)
+		}
+		mc.Observe(&wk.Res)
+	}
+	sum := mcSummary(&mc, cfg)
+	_ = enc.Encode(sum)
+	return buf.String()
+}
+
+// TestChunkedRunDifferential is the /v1/run byte-identity gate: for every
+// scheme, on homogeneous and heterogeneous platforms, every chunk count —
+// the serial width 1 and auto included — must answer the byte-for-byte
+// identical NDJSON body, every row and the summary, as the independent
+// serial reference. Not statistically equivalent: identical.
 func TestChunkedRunDifferential(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
 	schemes := []string{"NPM", "SPM", "GSS", "SS1", "SS2", "AS", "CLV", "ASP", "ORA"}
@@ -67,26 +135,23 @@ func TestChunkedRunDifferential(t *testing.T) {
 		`"workload":"atr","hetero":"biglittle","placement":"class-affinity"`,
 	}
 	runsCases := []int{1, 7, 100, 1000}
-	chunkCases := []int{0, 2, 3, 5, 8} // 0 = auto
+	chunkCases := []int{0, 1, 2, 3, 5, 8} // 0 = auto
 
 	for _, plat := range platforms {
 		for _, scheme := range schemes {
 			for _, runs := range runsCases {
-				serialBody := ""
-				for _, chunks := range append([]int{1}, chunkCases...) {
+				want := referenceRunBody(t, s, fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":12345}`,
+					plat, scheme, runs))
+				for _, chunks := range chunkCases {
 					body := fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":12345,"chunks":%d}`,
 						plat, scheme, runs, chunks)
 					w := post(t, s, "/v1/run", body)
 					if w.Code != http.StatusOK {
 						t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
 					}
-					if chunks == 1 {
-						serialBody = w.Body.String()
-						continue
-					}
-					if got := w.Body.String(); got != serialBody {
-						t.Fatalf("%s diverged from serial response\nchunked: %s\nserial:  %s",
-							body, truncateDiff(got, serialBody), truncateDiff(serialBody, got))
+					if got := w.Body.String(); got != want {
+						t.Fatalf("%s diverged from the serial reference\nserved:    %s\nreference: %s",
+							body, truncateDiff(got, want), truncateDiff(want, got))
 					}
 				}
 			}
@@ -178,8 +243,9 @@ func TestChunkedCompareDifferential(t *testing.T) {
 	}
 }
 
-// FuzzChunkedRunDifferential fuzzes the serial/chunked equivalence: any
-// two chunk counts of the same request must produce identical bodies.
+// FuzzChunkedRunDifferential fuzzes the byte identity: the same request
+// at any two chunk counts (auto and serial included) must match the
+// independent serial reference.
 func FuzzChunkedRunDifferential(f *testing.F) {
 	f.Add(uint8(0), uint16(100), uint64(1), uint8(1), uint8(4), false)
 	f.Add(uint8(5), uint16(300), uint64(42), uint8(2), uint8(7), true)
@@ -197,20 +263,19 @@ func FuzzChunkedRunDifferential(f *testing.F) {
 		if hetero {
 			plat = `"workload":"atr","hetero":"biglittle"`
 		}
-		req := func(chunks int) string {
+		want := referenceRunBody(t, s, fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":%d}`,
+			plat, scheme, nruns, seed))
+		for _, chunks := range []int{int(chunksA) % (maxRunChunks + 1), int(chunksB) % (maxRunChunks + 1)} {
 			body := fmt.Sprintf(`{%s,"scheme":%q,"runs":%d,"seed":%d,"chunks":%d}`,
 				plat, scheme, nruns, seed, chunks)
 			w := post(t, s, "/v1/run", body)
 			if w.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
 			}
-			return w.Body.String()
-		}
-		a := req(int(chunksA)%maxRunChunks + 1)
-		b := req(int(chunksB)%maxRunChunks + 1)
-		if a != b {
-			t.Fatalf("chunk counts %d and %d disagree for scheme=%s runs=%d seed=%d",
-				int(chunksA)%maxRunChunks+1, int(chunksB)%maxRunChunks+1, scheme, nruns, seed)
+			if got := w.Body.String(); got != want {
+				t.Fatalf("%s diverged from the serial reference\nserved:    %s\nreference: %s",
+					body, truncateDiff(got, want), truncateDiff(want, got))
+			}
 		}
 	})
 }
@@ -404,35 +469,58 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 	wg.Wait()
 }
 
-// TestChunkedTraceSpans is the S3 check for the default fan-out: a traced
-// chunked run must record one exec.mc span per chunk with its run count,
-// and drop nothing at default chunk widths.
+// TestChunkedTraceSpans: a traced Monte-Carlo /v1/run records a bounded
+// number of spans however many blocks it runs — block jobs add no pool
+// queue/exec spans of their own, and their exec.mc spans fold into at
+// most width lanes — so default widths drop nothing, and the exec.mc run
+// counts still sum to runs.
 func TestChunkedTraceSpans(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
-	w := post(t, s, "/v1/run", `{"workload":"atr","scheme":"GSS","runs":1000,"seed":3,"chunks":8}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	// Warm the plan, so the traced requests below record no compile job.
+	if w := post(t, s, "/v1/run", `{"workload":"atr","scheme":"GSS"}`); w.Code != http.StatusOK {
+		t.Fatalf("warmup status %d", w.Code)
 	}
-	id := w.Header().Get("X-Trace-Id")
-	rt, ok := s.flight.Get(id)
-	if !ok {
-		t.Fatalf("trace %s not retained", id)
-	}
-	if rt.DroppedSpans != 0 {
-		t.Errorf("default chunked fan-out dropped %d spans", rt.DroppedSpans)
-	}
-	mcSpans, mcRuns := 0, int64(0)
-	for _, sp := range rt.Spans {
-		if sp.Phase == PhaseExecMC {
-			mcSpans++
-			mcRuns += sp.N
+	for _, tc := range []struct {
+		runs, chunks, width int
+	}{
+		{1000, 8, 8},
+		{20000, 0, 4}, // 79 blocks: more than the span array holds
+		{20000, 1, 1},
+	} {
+		w := post(t, s, "/v1/run", fmt.Sprintf(`{"workload":"atr","scheme":"GSS","runs":%d,"seed":3,"chunks":%d}`,
+			tc.runs, tc.chunks))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
-	}
-	if mcSpans != 8 {
-		t.Errorf("exec.mc spans = %d, want one per chunk (8)", mcSpans)
-	}
-	if mcRuns != 1000 {
-		t.Errorf("exec.mc span run counts total %d, want 1000", mcRuns)
+		id := w.Header().Get("X-Trace-Id")
+		rt, ok := s.flight.Get(id)
+		if !ok {
+			t.Fatalf("trace %s not retained", id)
+		}
+		if rt.DroppedSpans != 0 {
+			t.Errorf("runs=%d chunks=%d dropped %d spans", tc.runs, tc.chunks, rt.DroppedSpans)
+		}
+		mcSpans, mcRuns, queued := 0, int64(0), 0
+		for _, sp := range rt.Spans {
+			switch sp.Phase {
+			case PhaseExecMC:
+				mcSpans++
+				mcRuns += sp.N
+			case PhaseQueue:
+				queued++
+			}
+		}
+		if mcSpans < 1 || mcSpans > tc.width {
+			t.Errorf("runs=%d chunks=%d: %d exec.mc spans, want 1..%d (one per lane)",
+				tc.runs, tc.chunks, mcSpans, tc.width)
+		}
+		if mcRuns != int64(tc.runs) {
+			t.Errorf("runs=%d chunks=%d: exec.mc run counts total %d", tc.runs, tc.chunks, mcRuns)
+		}
+		if queued != 1 {
+			t.Errorf("runs=%d chunks=%d: %d queue spans, want 1 (the first block's admission wait)",
+				tc.runs, tc.chunks, queued)
+		}
 	}
 	if got := s.flight.DroppedSpans(); got != 0 {
 		t.Errorf("recorder-lifetime dropped spans = %d, want 0", got)

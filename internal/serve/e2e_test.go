@@ -443,3 +443,50 @@ func TestE2ECompareAllStability(t *testing.T) {
 		t.Fatalf("Serve returned %v", err)
 	}
 }
+
+// TestE2ESlowReaderReleasesWorker is the slow-reader regression: a client
+// that asks for a huge Monte-Carlo stream and never reads it must not pin
+// a shared worker. On a 1-worker server, later single runs must each be
+// answered within the request timeout while the stalled stream's socket
+// stays full — the workers only fill row blocks — and the stalled
+// handler itself is released by its write deadline, so the server drains
+// cleanly before the client lets go.
+func TestE2ESlowReaderReleasesWorker(t *testing.T) {
+	s, base, errc := startE2E(t, Config{Workers: 1, QueueSize: 8, RequestTimeout: 2 * time.Second})
+	client := &http.Client{Timeout: 2 * time.Second}
+	single := func() (int, time.Duration) {
+		t0 := time.Now()
+		resp, err := client.Post(base+"/v1/run", "application/json",
+			strings.NewReader(`{"workload":"atr","scheme":"GSS","seed":5}`))
+		if err != nil {
+			return 0, time.Since(t0)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, time.Since(t0)
+	}
+	if code, _ := single(); code != http.StatusOK { // warm the plan cache
+		t.Fatalf("warmup status %d", code)
+	}
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"workload":"atr","scheme":"GSS","runs":100000,"chunks":1,"seed":1}`
+	fmt.Fprintf(conn, "POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body)
+	// Never read: let the stream fill the socket buffers and stall.
+	time.Sleep(300 * time.Millisecond)
+
+	for i := 0; i < 3; i++ {
+		code, took := single()
+		if code != http.StatusOK {
+			t.Errorf("request %d behind a stalled reader: status %d after %v, want 200 within 2s", i, code, took)
+		}
+	}
+	// The stalled stream's writes are bounded by its request deadline, so
+	// a graceful drain completes while the client still holds the socket.
+	shutdownE2E(t, s, errc)
+}

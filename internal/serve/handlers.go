@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -168,24 +167,22 @@ func fillRow(row *RunRow, run int, res *core.RunResult) {
 	}
 }
 
-// monteCarlo executes runs Monte-Carlo executions of plan on wk's state.
-// Per-run seeds come from one master stream (run i's seed is the i-th
-// master draw — the convention the chunked path reproduces with an O(1)
-// skip), so runs are independent but the whole request is reproducible
-// from seed. each (optional) observes every result and may stop the loop
-// early by returning false — e.g. a streaming encoder whose client went
-// away. The returned summary covers the observed prefix (Runs < runs when
-// stopped early); a context expiry or simulation failure aborts with the
-// error and a partial summary. Accumulation goes through core.MCStats,
-// the same reducer the chunked merge path feeds in run order, which is
-// what keeps serial and chunked summaries bit-identical.
+// monteCarlo executes runs Monte-Carlo executions of plan on wk's state —
+// the serial loop behind each /v1/batch item. Per-run seeds come from one
+// master stream (run i's seed is the i-th master draw — the convention the
+// /v1/run block executor reproduces with an O(1) skip), so runs are
+// independent but the whole experiment is reproducible from seed. A
+// context expiry or simulation failure aborts with the error and a
+// partial summary. Accumulation goes through core.MCStats, the reducer
+// the block executor feeds in run order, which keeps the two paths'
+// summaries bit-identical.
 func monteCarlo(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunConfig,
-	runs int, seed uint64, each func(i int, res *core.RunResult) bool) (RunSummary, error) {
+	runs int, seed uint64) (RunSummary, error) {
 	var mc core.MCStats
 	if rec := obs.TraceFromContext(ctx); rec != nil {
 		// One exec.mc span per Monte-Carlo loop, counting completed runs.
-		// Batch and run chunks call this concurrently on one request's
-		// record; span slots are reserved atomically, so that is safe.
+		// Batch chunks call this concurrently on one request's record;
+		// span slots are reserved atomically, so that is safe.
 		t0 := rec.SinceStart()
 		defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(mc.Done)) }()
 	}
@@ -198,9 +195,6 @@ func monteCarlo(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunCo
 		wk.Src.Reseed(master.Uint64())
 		if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
 			return mcSummary(&mc, cfg), err
-		}
-		if each != nil && !each(i, &wk.Res) {
-			return mcSummary(&mc, cfg), nil
 		}
 		mc.Observe(&wk.Res)
 	}
@@ -220,9 +214,9 @@ func mcSummary(mc *core.MCStats, cfg core.RunConfig) RunSummary {
 }
 
 // handleRun executes an application once (JSON response) or runs=N times
-// (NDJSON stream: one row per run, then a summary row). The simulation
-// itself runs on a pool worker's arena; this handler only decodes,
-// resolves the plan and encodes.
+// (NDJSON stream: one row per run, then a summary row; see streamRuns).
+// The simulation itself runs on pool workers' arenas; this handler only
+// decodes, resolves the plan and writes.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
@@ -261,13 +255,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Large-run requests fan out across the pool: per-worker chunks with
-	// chunk-independent seeding, merged back in run order — byte-identical
-	// to the serial path below, several workers faster. Serial execution
-	// (one in-job streaming loop) remains the path for small requests,
-	// single-worker pools and explicit chunks=1.
-	if nchunks := chunkCount(runs, s.pool.Workers(), req.Chunks, minRunsPerChunk); nchunks > 1 {
-		s.handleRunChunked(w, r, &req, scheme, runs, nchunks)
+	// Monte-Carlo requests run as bounded row blocks across the pool,
+	// encoded by the workers and streamed in run order by this goroutine.
+	if runs > 1 {
+		plan, _, apiErr := s.planFor(r.Context(), &req.AppSpec)
+		if apiErr != nil {
+			s.writeError(w, apiErr.status, apiErr.msg)
+			return
+		}
+		deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+		if apiErr != nil {
+			s.writeError(w, apiErr.status, apiErr.msg)
+			return
+		}
+		cfg := core.RunConfig{Scheme: scheme, Deadline: deadline, WorstCase: req.Worst}
+		s.streamRuns(w, r, plan, cfg, req.Seed, runs,
+			chunkCount(runs, s.pool.Workers(), req.Chunks, minRunsPerChunk))
 		return
 	}
 
@@ -280,12 +283,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// request to the shard owner chosen by the app's digest, which
 	// compiles in its private shard and publishes a new snapshot; the
 	// owner queue serializes compiles for its keys, so duplicate-compile
-	// suppression is structural. jobErr carries resolution failures out of
-	// the job (the job returns before committing any status line, so the
-	// handler can still answer 400/503).
+	// suppression is structural. out.jobErr carries resolution failures out
+	// of the job (the job returns before committing any status line, so the
+	// handler can still answer 400/503). The job's outputs share one heap
+	// object, captured by the job closure, to keep the warm path's
+	// allocation count down.
 	var plan *core.Plan
 	var deadline float64
-	var jobErr *apiError
+	var out struct {
+		row    RunRow
+		jobErr *apiError
+		runErr error
+	}
 	ra, apiErr := s.resolveApp(&req.AppSpec)
 	if apiErr != nil {
 		s.writeError(w, apiErr.status, apiErr.msg)
@@ -303,137 +312,51 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// A request with its plan in hand (warm) rides the shared queue; only
 	// unresolved requests are routed to the owner.
 	routed := plan == nil
-	if runs == 1 {
-		var row RunRow
-		var runErr error
-		fn := func(ctx context.Context, wk *Worker) {
-			p, d := plan, deadline
-			if routed {
-				var apiErr *apiError
-				if p, _, apiErr = s.ownerPlan(ctx, wk, ra); apiErr != nil {
-					jobErr = apiErr
-					return
-				}
-				if d, apiErr = resolveDeadline(p.CTWorst, req.Deadline, req.Load); apiErr != nil {
-					jobErr = apiErr
-					return
-				}
-			} else {
-				wk.pw.hits.Add(1) // snapshot hit, credited to the executing worker
-			}
-			wk.Src.Reseed(req.Seed)
-			cfg := core.RunConfig{Scheme: scheme, Deadline: d}
-			if req.Worst {
-				cfg.WorstCase = true
-			} else {
-				cfg.Sampler = wk.Sampler
-			}
-			if runErr = p.RunInto(cfg, wk.Arena, &wk.Res); runErr != nil {
-				return
-			}
-			fillRow(&row, 0, &wk.Res)
-		}
-		var err error
-		if routed {
-			err = s.pool.DoOn(r.Context(), s.pool.homeFor(ra.key), fn)
-		} else {
-			err = s.pool.Do(r.Context(), fn)
-		}
-		if !s.checkPoolErr(w, err) {
-			return
-		}
-		if jobErr != nil {
-			s.writeError(w, jobErr.status, jobErr.msg)
-			return
-		}
-		if runErr != nil {
-			s.writeError(w, http.StatusInternalServerError, runErr.Error())
-			return
-		}
-		s.runs.Inc()
-		s.writeJSONTraced(w, r, http.StatusOK, row)
-		return
-	}
-
-	// Monte-Carlo: stream NDJSON rows as they are produced, then a
-	// summary. Admission happens before the status line commits — the 200
-	// is only written once a worker has picked the job up (and, on the
-	// sharded path, resolved the plan), so a full queue or a bad app still
-	// yields a clean 429/400. After the 200, a mid-stream failure is
-	// reported as an {"error": ...} line and an absent summary; clients
-	// (and loadgen) treat a stream without a summary as incomplete.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	stream := func(ctx context.Context, wk *Worker) {
+	fn := func(ctx context.Context, wk *Worker) {
 		p, d := plan, deadline
 		if routed {
 			var apiErr *apiError
 			if p, _, apiErr = s.ownerPlan(ctx, wk, ra); apiErr != nil {
-				jobErr = apiErr
+				out.jobErr = apiErr
 				return
 			}
 			if d, apiErr = resolveDeadline(p.CTWorst, req.Deadline, req.Load); apiErr != nil {
-				jobErr = apiErr
+				out.jobErr = apiErr
 				return
 			}
 		} else {
 			wk.pw.hits.Add(1) // snapshot hit, credited to the executing worker
 		}
-		w.WriteHeader(http.StatusOK)
-		var row RunRow
+		wk.Src.Reseed(req.Seed)
 		cfg := core.RunConfig{Scheme: scheme, Deadline: d}
 		if req.Worst {
 			cfg.WorstCase = true
 		} else {
 			cfg.Sampler = wk.Sampler
 		}
-		sum, err := monteCarlo(ctx, wk, p, cfg, runs, req.Seed,
-			func(i int, res *core.RunResult) bool {
-				fillRow(&row, i, res)
-				if enc.Encode(&row) != nil {
-					return false // client went away; stop simulating
-				}
-				if flusher != nil && (i+1)%256 == 0 {
-					flusher.Flush()
-				}
-				return true
-			})
-		s.runs.Add(int64(sum.Runs))
-		if err != nil {
-			if ctx.Err() == nil {
-				_ = enc.Encode(map[string]string{"error": err.Error()})
-			}
-			return // stream ends without a summary: client must treat as incomplete
+		if out.runErr = p.RunInto(cfg, wk.Arena, &wk.Res); out.runErr != nil {
+			return
 		}
-		if sum.Runs == runs { // not cut short by a gone client
-			_ = enc.Encode(sum)
-		}
+		fillRow(&out.row, 0, &wk.Res)
 	}
-	// The job is sized in runs so the queue's Retry-After accounting sees
-	// the real work behind it, serial or chunked.
-	var poolErr error
 	if routed {
-		poolErr = s.pool.doOnUnits(r.Context(), s.pool.homeFor(ra.key), int64(runs), stream)
+		err = s.pool.DoOn(r.Context(), s.pool.homeFor(ra.key), fn)
 	} else {
-		poolErr = s.pool.doUnits(r.Context(), int64(runs), stream)
+		err = s.pool.Do(r.Context(), fn)
 	}
-	if poolErr != nil {
-		// The job never ran, so no status line was written: report the
-		// rejection properly instead of committing a doomed 200.
-		w.Header().Del("Content-Type")
-		s.checkPoolErr(w, poolErr)
+	if !s.checkPoolErr(w, err) {
 		return
 	}
-	if jobErr != nil {
-		// The job bailed before the status line: resolution failed.
-		w.Header().Del("Content-Type")
-		s.writeError(w, jobErr.status, jobErr.msg)
+	if out.jobErr != nil {
+		s.writeError(w, out.jobErr.status, out.jobErr.msg)
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
+	if out.runErr != nil {
+		s.writeError(w, http.StatusInternalServerError, out.runErr.Error())
+		return
 	}
+	s.runs.Inc()
+	s.writeJSONTraced(w, r, http.StatusOK, out.row)
 }
 
 // handleCompare runs every requested scheme over the same random numbers

@@ -82,15 +82,17 @@ const (
 	// PhaseQueue is the wait from pool submission to worker pickup. A job
 	// cancelled while queued still records it (with no PhaseExec).
 	PhaseQueue = "queue"
-	// PhaseExec is a worker's execution of one pool job (for streaming
-	// responses it includes row encoding, which interleaves with the
-	// simulation).
+	// PhaseExec is a worker's execution of one pool job. A Monte-Carlo
+	// /v1/run records one handler-side exec span with detail "blocks"
+	// instead, covering its block jobs and the writes of their rows.
 	PhaseExec = "exec"
-	// PhaseExecMC is one Monte-Carlo loop within a job; its n is the number
-	// of runs completed. Batch requests record one per chunk, concurrently.
+	// PhaseExecMC is Monte-Carlo execution; its n is the number of runs
+	// completed. Batch requests record one per chunk, concurrently; a
+	// /v1/run stream records one per lane of its block executor (at most
+	// its width), spanning the lane's blocks, which encode their rows too.
 	PhaseExecMC = "exec.mc"
-	// PhaseEncode is response encoding outside the workers (buffered JSON
-	// responses, batch NDJSON emission).
+	// PhaseEncode is response encoding on the handler goroutine (buffered
+	// JSON responses, batch NDJSON emission, a stream's summary line).
 	PhaseEncode = "encode"
 )
 

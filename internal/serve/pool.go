@@ -47,6 +47,13 @@ type job struct {
 	done chan struct{}
 	ran  bool // set by the worker before closing done
 
+	// state is the cancel mark that hands a queued job to exactly one
+	// side: the worker claims it (jobQueued → jobRunning) before running
+	// fn, a submitter giving up claims it (jobQueued → jobCancelled) and
+	// returns at once. A worker that dequeues a cancelled job skips it
+	// without touching anything the departed submitter owns.
+	state atomic.Int32
+
 	// units is the job's work size in Monte-Carlo runs (1 for unit work
 	// like plan compiles and single executions). It weights the service
 	// EWMAs and the queued-work gauge behind RetryAfter: since one request
@@ -56,9 +63,8 @@ type job struct {
 
 	// enq is the submission time; it feeds the queue-age gauge and — when
 	// rec is non-nil (traced request) — the queue-wait span, recorded by
-	// the worker or by the submitter if it gives up while blocked. The
-	// submitter always waits on done before touching rec again, so
-	// worker-side recording needs no extra synchronization.
+	// the worker at pickup or by the submitter if it gives up first. The
+	// state handshake decides which of the two touches rec.
 	rec *obs.TraceRec
 	enq time.Time
 	// pickup is stamped by the worker just before running fn. The exec
@@ -67,6 +73,12 @@ type job struct {
 	// the handoff back to the handler's goroutine.
 	pickup time.Time
 }
+
+const (
+	jobQueued int32 = iota
+	jobRunning
+	jobCancelled
+)
 
 // ageRing approximates per-queue wait ages without any lock: senders
 // record enqueue times into a ring indexed by a post-send sequence number,
@@ -291,16 +303,21 @@ func (p *Pool) worker(w *poolWorker) {
 func (p *Pool) run(w *poolWorker, wk *Worker, j *job, ring *ageRing) {
 	ring.noteDequeue()
 	p.unitsQueued.Add(-j.units)
+	if !j.state.CompareAndSwap(jobQueued, jobRunning) {
+		// The submitter gave up while the job was queued and has already
+		// returned (recording its own queue wait): skip it untouched.
+		p.inFlight.Add(-1)
+		return
+	}
 	j.pickup = time.Now()
 	// The queue-wait span is recorded even for jobs skipped below: a
-	// cancelled-while-queued request still spent that time waiting, and
-	// its handler is blocked on done, so the record is safe to touch.
-	// Reusing the pickup stamp for the span's end costs no extra clock
-	// read.
+	// request whose context expired while queued still spent that time
+	// waiting, and its submitter is blocked on done, so the record is safe
+	// to touch. Reusing the pickup stamp for the span's end costs no extra
+	// clock read.
 	j.rec.RecordSpan(PhaseQueue, j.enq, j.pickup)
 	// A job whose request already gave up (context expired while queued)
-	// is skipped: its handler is gone, running it would only burn the
-	// worker.
+	// is skipped: running it would only burn the worker.
 	if j.ctx.Err() == nil {
 		j.fn(j.ctx, wk)
 		j.ran = true
@@ -406,29 +423,23 @@ func (p *Pool) RetryAfter() time.Duration {
 // Do submits fn to the shared queue and waits for it to finish. fn runs on
 // a pool worker with exclusive use of that worker's state; it must respect
 // ctx between units of work. Do returns ErrQueueFull immediately when the
-// queue is full, ErrPoolClosed after Close, and ctx's error when the job
-// was skipped because the context expired before a worker picked it up. A
-// nil return means fn ran to completion.
+// queue is full, ErrPoolClosed after Close, and ctx's error when ctx ends
+// before a worker picked the job up — at once, not when a worker reaches
+// the dead job. A nil return means fn ran to completion.
 func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, 1, nil)
+	return p.submit(ctx, p.shared, p.sharedRing, fn, false, 1)
 }
 
 // doUnits is Do with an explicit work size in run units (see job.units):
 // handlers submitting multi-run work declare its size so the Retry-After
 // EWMAs stay calibrated per run rather than per job.
 func (p *Pool) doUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, units, nil)
-}
-
-// doOnUnits is DoOn with an explicit work size.
-func (p *Pool) doOnUnits(ctx context.Context, home int, units int64, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, false, units, nil)
+	return p.submit(ctx, p.shared, p.sharedRing, fn, false, units)
 }
 
 // doWaitUnits is DoWait with an explicit work size.
 func (p *Pool) doWaitUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, units, nil)
+	return p.submit(ctx, p.shared, p.sharedRing, fn, true, units)
 }
 
 // DoWait is Do without the fail-fast queue check: when the queue is full
@@ -438,7 +449,7 @@ func (p *Pool) doWaitUnits(ctx context.Context, units int64, fn func(ctx context
 // accepted request into a partial failure. Like Do, callers must not
 // start a DoWait after Close begins.
 func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, 1, nil)
+	return p.submit(ctx, p.shared, p.sharedRing, fn, true, 1)
 }
 
 // DoOn is Do routed to worker `home`'s private queue: fn runs on exactly
@@ -446,31 +457,41 @@ func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context, w *Worke
 // section-schedule shards without synchronization.
 func (p *Pool) DoOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
 	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, false, 1, nil)
+	return p.submit(ctx, w.jobs, w.ring, fn, false, 1)
 }
 
 // DoWaitOn is DoOn with blocking submission, for owner work downstream of
 // an admission decision (plan compiles joined by batch items).
 func (p *Pool) DoWaitOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
 	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, true, 1, nil)
+	return p.submit(ctx, w.jobs, w.ring, fn, true, 1)
 }
 
-// submit enqueues fn as one job and blocks until it completes. units sizes
-// the job for the Retry-After accounting (floored at 1). onEnqueue, when
-// non-nil, runs exactly once right after the job lands in the queue —
-// before submit blocks on completion — so a coordinator (fanOut) can learn
-// that the fail-fast admission decision succeeded without waiting for the
-// job to finish. It runs on the submitting goroutine and must not block.
-func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64, onEnqueue func()) error {
-	if err := ctx.Err(); err != nil {
+// submit enqueues fn as one job and blocks until it completes (or until
+// ctx ends while it is still queued). units sizes the job for the
+// Retry-After accounting (floored at 1).
+func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64) error {
+	j, err := p.enqueue(ctx, ch, ring, fn, wait, units, obs.TraceFromContext(ctx))
+	if err != nil {
 		return err
+	}
+	return p.await(ctx, j)
+}
+
+// enqueue places fn on ch as one job and returns without waiting for it:
+// the caller owes the job an await. wait selects blocking submission
+// (wait for queue space or ctx) over fail-fast ErrQueueFull. rec is the
+// trace record the job's queue and exec spans go to; nil keeps the job
+// out of the trace (the Monte-Carlo executor's block jobs, which would
+// otherwise overrun the span array on a large request).
+func (p *Pool) enqueue(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64, rec *obs.TraceRec) (*job, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if units < 1 {
 		units = 1
 	}
-	j := &job{ctx: ctx, fn: fn, done: make(chan struct{}), enq: time.Now(), units: units}
-	j.rec = obs.TraceFromContext(ctx)
+	j := &job{ctx: ctx, fn: fn, done: make(chan struct{}), enq: time.Now(), units: units, rec: rec}
 	// Dekker handshake with Close: count the submission first, then check
 	// the closed flag (both sequentially consistent). Close stores the
 	// flag first, then reads the count — so either this submitter sees
@@ -480,7 +501,7 @@ func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(
 	p.inFlight.Add(1)
 	if p.closed.Load() {
 		p.inFlight.Add(-1)
-		return ErrPoolClosed
+		return nil, ErrPoolClosed
 	}
 	if wait {
 		select {
@@ -490,22 +511,36 @@ func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(
 			// The request waited for queue space it never got; that wait is
 			// still queue time.
 			j.rec.Record(PhaseQueue, j.enq)
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	} else {
 		select {
 		case ch <- j:
 		default:
 			p.inFlight.Add(-1)
-			return ErrQueueFull
+			return nil, ErrQueueFull
 		}
 	}
 	ring.noteEnqueue(j.enq)
 	p.unitsQueued.Add(units)
-	if onEnqueue != nil {
-		onEnqueue()
+	return j, nil
+}
+
+// await blocks until j finishes. If ctx ends while j is still queued, the
+// cancel mark makes the worker skip it and await returns ctx's error at
+// once; a job already running is waited for (fn observes ctx between
+// units of work), so on return the worker is done with everything fn
+// touches.
+func (p *Pool) await(ctx context.Context, j *job) error {
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		if j.state.CompareAndSwap(jobQueued, jobCancelled) {
+			j.rec.Record(PhaseQueue, j.enq)
+			return ctx.Err()
+		}
+		<-j.done
 	}
-	<-j.done
 	if !j.ran {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -521,22 +556,21 @@ func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(
 }
 
 // fanOut executes n chunk jobs of one request across the pool and blocks
-// until every started job has returned. job(c) builds chunk c's function,
+// until every enqueued job has returned. chunk(c) builds chunk c's function,
 // units(c) its work size (nil means 1).
 //
-// Admission semantics mirror the serial path exactly: chunk 0 is submitted
-// with the fail-fast Do path — the request's single admission decision on
-// the shared queue, so a saturated pool still answers a clean 429 — and
-// the remaining chunks enter with blocking DoWait only after chunk 0 is
-// known to be enqueued, the way an admitted batch's items ride out
-// transient queue pressure. (Without that ordering a sibling chunk could
-// fill the queue first and fail its own request's admission probe.)
+// Admission semantics mirror the single-job path: chunk 0 is enqueued
+// fail-fast — the request's single admission decision on the shared
+// queue, so a saturated pool still answers a clean 429 — and the
+// remaining chunks follow with blocking submission, the way an admitted
+// batch's items ride out transient queue pressure.
 //
 // Error handling is all-or-nothing: the first failure cancels the shared
 // child context, every started chunk backs out at its next run boundary,
-// and the returned error reports the failure — never a partial result. A
-// nil return means every chunk ran to completion.
-func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, job func(c int) func(context.Context, *Worker)) error {
+// queued ones are skipped, and the returned error reports the failure —
+// never a partial result. A nil return means every chunk ran to
+// completion.
+func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, chunk func(c int) func(context.Context, *Worker)) error {
 	u := func(c int) int64 {
 		if units == nil {
 			return 1
@@ -544,50 +578,32 @@ func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, job f
 		return units(c)
 	}
 	if n <= 1 {
-		return p.doUnits(ctx, u(0), job(0))
+		return p.doUnits(ctx, u(0), chunk(0))
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	// enq resolves chunk 0's admission: nil once it is enqueued, or the
-	// fail-fast error if it never was.
-	enq := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		enqueued := false
-		errs[0] = p.submit(cctx, p.shared, p.sharedRing, job(0), false, u(0), func() {
-			enqueued = true
-			enq <- nil
-		})
-		if !enqueued {
-			enq <- errs[0]
-		} else if errs[0] != nil {
-			cancel()
-		}
-	}()
-	if err := <-enq; err != nil {
-		wg.Wait()
-		return err
-	}
-	for c := 1; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			errs[c] = p.submit(cctx, p.shared, p.sharedRing, job(c), true, u(c), nil)
-			if errs[c] != nil {
-				cancel()
-			}
-		}(c)
-	}
-	wg.Wait()
-	// Prefer the root cause over the context.Canceled errors the cancel
-	// fanned out to sibling chunks.
+	rec := obs.TraceFromContext(ctx)
 	var first error
-	for _, err := range errs {
-		if err != nil && (first == nil || errors.Is(first, context.Canceled)) {
+	fail := func(err error) {
+		// Prefer the root cause over the context.Canceled errors the
+		// cancel fans out to sibling chunks.
+		if first == nil || errors.Is(first, context.Canceled) {
 			first = err
+		}
+		cancel()
+	}
+	jobs := make([]*job, 0, n)
+	for c := 0; c < n; c++ {
+		j, err := p.enqueue(cctx, p.shared, p.sharedRing, chunk(c), c > 0, u(c), rec)
+		if err != nil {
+			fail(err)
+			break
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if err := p.await(cctx, j); err != nil {
+			fail(err)
 		}
 	}
 	return first

@@ -369,3 +369,57 @@ func TestPoolRetryAfter(t *testing.T) {
 	close(block)
 	wg.Wait()
 }
+
+// TestPoolQueuedSubmitterHonoursDeadline is the queued-deadline
+// regression: a submitter whose job sits in the queue behind a pinned
+// worker must return its context's error as soon as the context ends —
+// not when a worker finally reaches the dead job — and the worker must
+// then skip the job instead of running it.
+func TestPoolQueuedSubmitterHonoursDeadline(t *testing.T) {
+	p := NewPool(1, 4, 8)
+	defer p.Close()
+	gate := make(chan struct{})
+	pinned := make(chan struct{})
+	pinDone := make(chan error, 1)
+	go func() {
+		pinDone <- p.Do(context.Background(), func(ctx context.Context, w *Worker) {
+			close(pinned)
+			<-gate
+		})
+	}()
+	<-pinned
+
+	const timeout = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	expiry, _ := ctx.Deadline()
+	var ran atomic.Bool
+	errc := make(chan error, 1)
+	go func() {
+		errc <- p.Do(ctx, func(ctx context.Context, w *Worker) { ran.Store(true) })
+	}()
+	waitQueued(t, p, 1)
+	select {
+	case err := <-errc:
+		if late := time.Since(expiry); late > 50*time.Millisecond {
+			t.Errorf("queued submitter returned %v after its deadline, want within 50ms", late)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("queued submitter returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate)
+		t.Fatal("queued submitter still blocked 5s after its deadline")
+	}
+	close(gate)
+	if err := <-pinDone; err != nil {
+		t.Fatalf("pinning job: %v", err)
+	}
+	waitSettled(t, p)
+	if ran.Load() {
+		t.Error("worker ran a job whose submitter had given up")
+	}
+	if d := p.QueueDepth(); d != 0 {
+		t.Errorf("queue depth %d after drain, want 0", d)
+	}
+}

@@ -73,12 +73,13 @@ type RunRequest struct {
 	// Runs is the Monte-Carlo run count (default 1). Runs > 1 switches the
 	// response to NDJSON streaming: one JSON row per run, then a summary.
 	Runs int `json:"runs,omitempty"`
-	// Chunks splits the Monte-Carlo loop across up to this many pool
-	// workers (0 = automatic: large-run requests fan out across the pool,
-	// small ones stay serial; 1 forces the serial path). Rows, their order
-	// and the trailing summary are byte-identical for every chunk count:
-	// per-run seeds are derived by an O(1) skip on the master stream and
-	// summaries are reduced in run order. Capped at Runs and at 64.
+	// Chunks is the Monte-Carlo request's parallel width: how many of its
+	// row blocks may be queued or running at once (0 = automatic: large-run
+	// requests spread across the pool, small ones use one worker; 1 keeps
+	// the request on one worker at a time). Rows, their order and the
+	// trailing summary are byte-identical for every chunk count: per-run
+	// seeds are derived by an O(1) skip on the master stream and summaries
+	// are reduced in run order. Capped at Runs and at 64.
 	Chunks int `json:"chunks,omitempty"`
 	// Worst makes every task consume its full WCET (no sampling).
 	Worst bool `json:"worst,omitempty"`

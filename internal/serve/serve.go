@@ -208,10 +208,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
 // statusWriter captures the response status for the request trace. It
-// passes Flush through so NDJSON streaming keeps working behind it. The
-// status field may be written by a pool worker (streaming handlers commit
-// the 200 from inside the job) and is read by the middleware only after
-// the job's done channel closed, which orders the accesses.
+// passes Flush through so NDJSON streaming keeps working behind it, and
+// unwraps for http.ResponseController (the Monte-Carlo stream's write
+// deadline). Only handler goroutines write to it; workers never touch a
+// ResponseWriter.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -236,6 +236,8 @@ func (w *statusWriter) Flush() {
 		f.Flush()
 	}
 }
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // statusWriterPool recycles statusWriters; the traced request path reuses
 // one instead of allocating.
