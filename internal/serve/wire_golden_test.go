@@ -12,7 +12,9 @@ import (
 var updateWire = flag.Bool("update", false, "rewrite golden files")
 
 // wireGoldenRequests are the exchanges TestWireGolden pins: the plan
-// summary and single-run and Monte-Carlo answers for every scheme, on an
+// summary, single-run and Monte-Carlo answers for every scheme, scheme
+// comparisons at several frame counts and widths, and batches mixing
+// seedless, seeded, failing and multi-block items — on an
 // identical-processor platform and on a heterogeneous one.
 func wireGoldenRequests() [][2]string {
 	apps := []string{
@@ -29,6 +31,21 @@ func wireGoldenRequests() [][2]string {
 					fmt.Sprintf(`{%s,"scheme":%q,"load":0.6,"seed":11,"runs":%d}`, app, s, runs)})
 			}
 		}
+		for _, set := range []string{`["all"]`, `["GSS","AS","ORA"]`} {
+			for _, runs := range []int{1, 40, 300} {
+				for _, chunks := range []int{0, 1, 5} {
+					reqs = append(reqs, [2]string{"/v1/compare",
+						fmt.Sprintf(`{%s,"schemes":%s,"load":0.6,"seed":5,"runs":%d,"chunks":%d}`, app, set, runs, chunks)})
+				}
+			}
+		}
+		reqs = append(reqs, [2]string{"/v1/batch", fmt.Sprintf(`{"items":[`+
+			`{%[1]s,"scheme":"GSS","runs":3},`+
+			`{%[1]s,"scheme":"AS","load":0.6,"runs":5,"seed":7},`+
+			`{%[1]s,"scheme":"BOGUS","runs":2},`+
+			`{"workload":"atr","hetero":"biglittle","scheme":"ORA","runs":4,"seed":9},`+
+			`{%[1]s,"scheme":"SS2","load":0.6,"runs":600,"seed":11},`+
+			`{%[1]s,"scheme":"CLV"}]}`, app)})
 	}
 	return reqs
 }
