@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
+	"sort"
 
 	"andorsched/internal/core"
 	"andorsched/internal/exectime"
@@ -70,15 +70,15 @@ type batchItem struct {
 	res  BatchItemResult
 }
 
-// handleBatch executes every item of the request across the worker pool
-// and answers one NDJSON stream of per-item summaries plus a trailing
-// batch summary. The whole batch passes tenant admission once (charging
-// the sum of its items' runs), then items are executed in parallel with
-// blocking pool submission — an admitted batch rides out queue contention
-// instead of failing partway. Item-level application errors (bad scheme,
-// infeasible deadline, unknown workload) become per-item error lines, not
-// request failures; request-level errors (malformed JSON, size/count/run
-// caps, admission) keep their usual statuses.
+// handleBatch executes every item of the request through the block
+// executor and answers one NDJSON stream of per-item summaries plus a
+// trailing batch summary. The whole batch passes tenant admission once
+// (charging the sum of its items' runs) and the pool's once (its first
+// block: a full queue is a 429). Item-level application errors (bad
+// scheme, infeasible deadline, unknown workload, a failing run) become
+// per-item error lines, not request failures; request-level errors
+// (malformed JSON, size/count/run caps, admission, timeout) keep their
+// usual statuses — no line is written until every item has settled.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
@@ -177,91 +177,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Execute in parallel across the pool. Items are striped into one
-	// chunk per worker — one pool job per chunk, not per item — so the
-	// dispatch cost (goroutine, queue round-trip, completion channel) is
-	// paid ~workers times per batch instead of ~items times. Blocking
-	// submission (DoWait) keeps an admitted batch from failing on
-	// transient queue pressure.
-	valid := make([]*batchItem, 0, len(items))
-	for i := range items {
-		if items[i].plan != nil {
-			valid = append(valid, &items[i])
-		}
+	x := newBatchExec(items)
+	err := s.pool.execBlocks(r.Context(), x.seq(s.pool.Workers()))
+	for i := range x.mcs {
+		s.runs.Add(int64(x.mcs[i].Done))
 	}
-	chunks := s.pool.Workers()
-	if chunks > len(valid) {
-		chunks = len(valid)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		executed int64
-	)
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*len(valid)/chunks, (c+1)*len(valid)/chunks
-		chunk := valid[lo:hi]
-		chunkUnits := int64(0)
-		for _, it := range chunk {
-			chunkUnits += int64(it.runs)
-		}
-		wg.Add(1)
-		go func(chunk []*batchItem, chunkUnits int64) {
-			defer wg.Done()
-			err := s.pool.doWaitUnits(r.Context(), chunkUnits, func(ctx context.Context, wk *Worker) {
-				done := int64(0)
-				defer func() {
-					mu.Lock()
-					executed += done
-					mu.Unlock()
-				}()
-				for _, it := range chunk {
-					if ctx.Err() != nil {
-						return // request-level failure, handled below
-					}
-					cfg := it.cfg
-					if !cfg.WorstCase {
-						cfg.Sampler = wk.Sampler
-					}
-					sum, err := monteCarlo(ctx, wk, it.plan, cfg, it.runs, it.seed)
-					done += int64(sum.Runs)
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						it.res.Error = err.Error()
-						continue
-					}
-					it.res = BatchItemResult{
-						Item: it.res.Item, Runs: sum.Runs, Scheme: sum.Scheme,
-						DeadlineS: sum.DeadlineS, MeanEnergyJ: sum.MeanEnergyJ,
-						MeanFinishS: sum.MeanFinishS, MaxFinishS: sum.MaxFinishS,
-						DeadlineMisses: sum.DeadlineMisses, LSTViolations: sum.LSTViolations,
-						SpeedChanges:    sum.SpeedChanges,
-						MeanClassGrossJ: sum.MeanClassGrossJ, MeanClassIdleJ: sum.MeanClassIdleJ,
-					}
-				}
-			})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(chunk, chunkUnits)
-	}
-	wg.Wait()
-	s.runs.Add(executed)
-	if err := r.Context().Err(); err != nil {
-		// The batch's own deadline expired (or the client left) mid-flight;
-		// nothing has been written, so report it properly.
-		s.writeError(w, http.StatusServiceUnavailable, "batch timed out before completing")
-		return
-	}
-	if firstErr != nil {
-		s.checkPoolErr(w, firstErr)
+	if err != nil {
+		s.writeExecErr(w, r, err)
 		return
 	}
 
@@ -286,4 +208,112 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	_ = enc.Encode(sum)
+}
+
+// batchExec is one batch's execution: the valid items' runs form one
+// sequence in item order, run as blocks that may span items. Run j of an
+// item is the j-th draw of the item's master stream wherever its block
+// starts, so an item's summary is exactly its /v1/run summary.
+type batchExec struct {
+	items  []*batchItem   // the resolved items, in item order
+	starts []int          // starts[v]: sequence position of items[v]'s run 0
+	mcs    []core.MCStats // per item, fed in run order
+	cur    int            // the item the next drained run belongs to
+}
+
+func newBatchExec(items []batchItem) *batchExec {
+	x := &batchExec{starts: []int{0}}
+	for i := range items {
+		if items[i].plan != nil {
+			x.items = append(x.items, &items[i])
+			x.starts = append(x.starts, x.starts[len(x.starts)-1]+items[i].runs)
+		}
+	}
+	x.mcs = make([]core.MCStats, len(x.items))
+	return x
+}
+
+// seq is the batch's block sequence, its width chosen like an auto-width
+// /v1/run's.
+func (x *batchExec) seq(workers int) blockSeq {
+	total := x.starts[len(x.items)]
+	return blockSeq{n: total, width: chunkCount(total, workers, 0, minRunsPerChunk),
+		maxK: blockRuns, cost: 1, run: x.block, drain: x.drain}
+}
+
+// block is the batch's block job: runs [b.lo, b.lo+b.n) of the sequence,
+// item by item, each item's runs drawn from its master stream skipped to
+// the block's first run of it. A failing run fails its item only: it is
+// recorded in b.fails and the item's remaining runs in the block are
+// skipped.
+func (x *batchExec) block(ctx context.Context, wk *Worker, b *mcBlock) {
+	end := b.lo + b.n
+	// The item holding run b.lo: the last start at or before it.
+	v := sort.SearchInts(x.starts, b.lo+1) - 1
+	for g := b.lo; g < end; v++ {
+		it := x.items[v]
+		segEnd := min(end, x.starts[v+1])
+		var master exectime.Source
+		master.Reseed(it.seed)
+		master.Skip(uint64(g - x.starts[v]))
+		cfg := it.cfg
+		if !cfg.WorstCase {
+			cfg.Sampler = wk.Sampler
+		}
+		for ; g < segEnd; g++ {
+			if b.err = ctx.Err(); b.err != nil {
+				return
+			}
+			wk.Src.Reseed(master.Uint64())
+			if err := it.plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
+				b.fails = append(b.fails, runFail{at: g, err: err})
+				g = segEnd
+				break
+			}
+			b.addSample(&wk.Res)
+		}
+	}
+}
+
+// drain folds block b into its items' statistics in run order and
+// settles each item whose last run it holds: its line becomes the summary,
+// or the error of its first failing run.
+func (x *batchExec) drain(b *mcBlock) error {
+	si, fi := 0, 0 // b's next sample and next failure
+	for g, end := b.lo, b.lo+b.n; g < end; {
+		it := x.items[x.cur]
+		segEnd := min(end, x.starts[x.cur+1])
+		n := segEnd - g // the item's samples in b, unless a run failed
+		var failed error
+		if fi < len(b.fails) && b.fails[fi].at < segEnd {
+			n, failed = b.fails[fi].at-g, b.fails[fi].err
+			fi++
+		}
+		if it.res.Error == "" {
+			b.reduce(&x.mcs[x.cur], si, si+n)
+			if failed != nil {
+				it.res.Error = failed.Error()
+			}
+		}
+		si += n
+		if g = segEnd; g == x.starts[x.cur+1] {
+			if it.res.Error == "" {
+				it.res = itemResult(it.res.Item, mcSummary(&x.mcs[x.cur], it.cfg))
+			}
+			x.cur++
+		}
+	}
+	return nil
+}
+
+// itemResult renders a settled item's summary as its batch line.
+func itemResult(item int, sum RunSummary) BatchItemResult {
+	return BatchItemResult{
+		Item: item, Runs: sum.Runs, Scheme: sum.Scheme,
+		DeadlineS: sum.DeadlineS, MeanEnergyJ: sum.MeanEnergyJ,
+		MeanFinishS: sum.MeanFinishS, MaxFinishS: sum.MaxFinishS,
+		DeadlineMisses: sum.DeadlineMisses, LSTViolations: sum.LSTViolations,
+		SpeedChanges:    sum.SpeedChanges,
+		MeanClassGrossJ: sum.MeanClassGrossJ, MeanClassIdleJ: sum.MeanClassIdleJ,
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,33 +90,38 @@ func TestBatchEndpoint(t *testing.T) {
 
 // TestBatchMatchesRunEndpoint pins the contract that a batch item is
 // exactly a /v1/run request: same workload, scheme, seed and runs must
-// produce the identical summary through either endpoint.
+// produce the identical summary through either endpoint — also for items
+// longer than a block, and items whose runs start mid-block.
 func TestBatchMatchesRunEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
-
-	w := post(t, s, "/v1/run", `{"workload":"atr","scheme":"GSS","seed":41,"runs":6,"load":0.5}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("run status %d: %s", w.Code, w.Body.String())
+	specs := []string{
+		`{"workload":"atr","scheme":"GSS","seed":41,"runs":6,"load":0.5}`,
+		`{"workload":"atr","scheme":"AS","seed":3,"runs":100}`,
+		`{"workload":"atr","scheme":"ORA","seed":9,"runs":600,"load":0.7}`,
+		`{"workload":"atr","hetero":"biglittle","scheme":"SS2","seed":5,"runs":300}`,
 	}
-	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
-	var runSum RunSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &runSum); err != nil {
-		t.Fatalf("run summary: %v", err)
-	}
-
-	w = post(t, s, "/v1/batch", `{"items":[{"workload":"atr","scheme":"GSS","seed":41,"runs":6,"load":0.5}]}`)
+	w := post(t, s, "/v1/batch", `{"items":[`+strings.Join(specs, ",")+`]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", w.Code, w.Body.String())
 	}
 	items, _ := parseBatchBody(t, w.Body.String())
-	if len(items) != 1 {
-		t.Fatalf("%d items, want 1", len(items))
+	if len(items) != len(specs) {
+		t.Fatalf("%d items, want %d", len(items), len(specs))
 	}
-	it := items[0]
-	if it.Runs != runSum.Runs || it.MeanEnergyJ != runSum.MeanEnergyJ ||
-		it.MeanFinishS != runSum.MeanFinishS || it.MaxFinishS != runSum.MaxFinishS ||
-		it.DeadlineMisses != runSum.DeadlineMisses || it.SpeedChanges != runSum.SpeedChanges {
-		t.Errorf("batch item %+v diverges from /v1/run summary %+v", it, runSum)
+	for i, spec := range specs {
+		w := post(t, s, "/v1/run", spec)
+		if w.Code != http.StatusOK {
+			t.Fatalf("run status %d: %s", w.Code, w.Body.String())
+		}
+		lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+		var runSum RunSummary
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &runSum); err != nil {
+			t.Fatalf("run summary: %v", err)
+		}
+		want := itemResult(i, runSum)
+		if got := items[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("batch item %d %+v diverges from /v1/run summary %+v", i, got, want)
+		}
 	}
 }
 

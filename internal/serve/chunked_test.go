@@ -15,6 +15,7 @@ import (
 
 	"andorsched/internal/core"
 	"andorsched/internal/exectime"
+	"andorsched/internal/stats"
 )
 
 // TestChunkCount pins the splitting policy: explicit chunk counts are
@@ -40,20 +41,6 @@ func TestChunkCount(t *testing.T) {
 		if got := chunkCount(tc.runs, tc.workers, tc.requested, tc.minPer); got != tc.want {
 			t.Errorf("chunkCount(%d, %d, %d, %d) = %d, want %d",
 				tc.runs, tc.workers, tc.requested, tc.minPer, got, tc.want)
-		}
-	}
-	// Bounds must cover every run exactly once, in order.
-	for _, nc := range []int{1, 2, 3, 7, 8} {
-		next := 0
-		for c := 0; c < nc; c++ {
-			lo, hi := chunkBounds(1000, nc, c)
-			if lo != next || hi < lo {
-				t.Fatalf("chunkBounds(1000, %d, %d) = [%d, %d), want lo %d", nc, c, lo, hi, next)
-			}
-			next = hi
-		}
-		if next != 1000 {
-			t.Fatalf("chunkBounds(1000, %d, ...) covered %d runs", nc, next)
 		}
 	}
 }
@@ -214,29 +201,102 @@ func TestChunkedRunValidation(t *testing.T) {
 	}
 }
 
-// TestChunkedCompareDifferential: /v1/compare under frame chunking must
-// reproduce the serial response byte for byte — the CRN pairing of NPM
-// baseline and scheme replays inside each frame survives the split.
+// referenceCompareBody is the /v1/compare differential's independent
+// oracle: the serial common-random-numbers loop the service ran before
+// the block executor — reseed frame i from the master stream's i-th draw,
+// run NPM and every scheme on it, feed the accumulators frame by frame —
+// on a test-owned worker, encoded like the handler's response.
+func referenceCompareBody(t testing.TB, s *Server, body string) string {
+	t.Helper()
+	var req CompareRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	plan, _, apiErr := s.planFor(context.Background(), &req.AppSpec)
+	if apiErr != nil {
+		t.Fatalf("%s: plan: %s", body, apiErr.msg)
+	}
+	deadline, apiErr := resolveDeadline(plan.CTWorst, req.Deadline, req.Load)
+	if apiErr != nil {
+		t.Fatalf("%s: deadline: %s", body, apiErr.msg)
+	}
+	var schemes []core.Scheme
+	if len(req.Schemes) == 0 || (len(req.Schemes) == 1 && req.Schemes[0] == "all") {
+		schemes = append(append(schemes, core.Schemes...), core.ExtendedSchemes...)
+	} else {
+		for _, name := range req.Schemes {
+			sc, err := core.ParseScheme(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemes = append(schemes, sc)
+		}
+	}
+	src := exectime.NewSource(0)
+	wk := &Worker{Arena: core.NewArena(), Src: src, Sampler: exectime.NewSampler(src)}
+	norm := make([]stats.Acc, len(schemes))
+	chg := make([]stats.Acc, len(schemes))
+	missed := make([]int, len(schemes))
+	var npmEnergy stats.Acc
+	var master exectime.Source
+	master.Reseed(req.Seed)
+	for i := 0; i < req.Runs; i++ {
+		wk.Src.Reseed(master.Uint64())
+		if err := plan.RunSchemesInto(core.RunConfig{Deadline: deadline, Sampler: wk.Sampler},
+			schemes, wk.Arena, &wk.Base, func(si int, res *core.RunResult) error {
+				norm[si].Add(res.Energy() / wk.Base.Energy())
+				chg[si].Add(float64(res.SpeedChanges))
+				if !res.MetDeadline {
+					missed[si]++
+				}
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		npmEnergy.Add(wk.Base.Energy())
+	}
+	resp := CompareResponse{App: plan.Graph.Name, Runs: req.Runs, DeadlineS: deadline,
+		NPMEnergyJ: npmEnergy.Mean()}
+	for si, sc := range schemes {
+		resp.Schemes = append(resp.Schemes, CompareScheme{
+			Scheme:           sc.String(),
+			MeanNormEnergy:   norm[si].Mean(),
+			CI95:             norm[si].CI95(),
+			MeanSpeedChanges: chg[si].Mean(),
+			DeadlineMisses:   missed[si],
+		})
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestChunkedCompareDifferential: /v1/compare through the block executor
+// must reproduce the serial reference byte for byte at every width — the
+// CRN pairing of NPM baseline and scheme replays inside each frame
+// survives the split, and frame-order reduction keeps the statistics
+// bit-identical. 1000 frames of three schemes is 16 blocks.
 func TestChunkedCompareDifferential(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueueSize: 64})
 	bodies := []string{
 		`{"workload":"atr","schemes":["GSS","AS","ORA"],"runs":%d,"seed":7,"chunks":%d}`,
 		`{"workload":"atr","hetero":"biglittle","schemes":["AS","ASP"],"runs":%d,"seed":7,"chunks":%d}`,
+		`{"workload":"atr","schemes":["all"],"load":0.7,"runs":%d,"seed":3,"chunks":%d}`,
 	}
 	for _, tpl := range bodies {
-		for _, runs := range []int{1, 40, 300} {
-			serial := post(t, s, "/v1/compare", fmt.Sprintf(tpl, runs, 1))
-			if serial.Code != http.StatusOK {
-				t.Fatalf("serial compare status %d: %s", serial.Code, serial.Body.String())
-			}
-			for _, chunks := range []int{0, 2, 5, 8} {
-				w := post(t, s, "/v1/compare", fmt.Sprintf(tpl, runs, chunks))
+		for _, runs := range []int{1, 40, 300, 1000} {
+			want := referenceCompareBody(t, s, fmt.Sprintf(tpl, runs, 0))
+			for _, chunks := range []int{0, 1, 2, 5, 8} {
+				body := fmt.Sprintf(tpl, runs, chunks)
+				w := post(t, s, "/v1/compare", body)
 				if w.Code != http.StatusOK {
-					t.Fatalf("chunked compare status %d: %s", w.Code, w.Body.String())
+					t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
 				}
-				if w.Body.String() != serial.Body.String() {
-					t.Fatalf("compare runs=%d chunks=%d diverged from serial\nchunked: %s\nserial:  %s",
-						runs, chunks, w.Body.String(), serial.Body.String())
+				if got := w.Body.String(); got != want {
+					t.Fatalf("%s diverged from the serial reference\nserved:    %s\nreference: %s",
+						body, truncateDiff(got, want), truncateDiff(want, got))
 				}
 			}
 		}
@@ -280,49 +340,53 @@ func FuzzChunkedRunDifferential(f *testing.F) {
 	})
 }
 
-// TestFanOutAllOrNothing races chunked execution against Pool.Close: every
-// fanOut call must either run all its chunks (nil error) or fail as a
-// whole — a nil return with missing chunk work would be a partial summary
-// presented as a complete one. Run under -race this also audits the
-// submit/Close handshake along the new fan-out path.
-func TestFanOutAllOrNothing(t *testing.T) {
+// noopDrain is a blockSeq drain for pool-level tests.
+func noopDrain(*mcBlock) error { return nil }
+
+// TestExecBlocksAllOrNothing races the block executor against Pool.Close:
+// every execution must either run and drain all its blocks (nil error) or
+// fail as a whole — a nil return with missing block work would be a
+// partial summary presented as a complete one. Run under -race this also
+// audits the submit/Close handshake along the executor's path.
+func TestExecBlocksAllOrNothing(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		p := NewPool(3, 2, 8)
 		const requests = 8
-		const chunks = 4
+		const blocks = 4
 		var wg sync.WaitGroup
 		results := make([]error, requests)
-		counts := make([]atomic.Int64, requests)
+		ran := make([]atomic.Int64, requests)
+		drained := make([]int, requests)
 		for r := 0; r < requests; r++ {
-			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[r] = p.fanOut(context.Background(), chunks, nil,
-					func(c int) func(context.Context, *Worker) {
-						return func(ctx context.Context, wk *Worker) {
-							time.Sleep(50 * time.Microsecond)
-							counts[r].Add(1)
-						}
-					})
+				results[r] = p.execBlocks(context.Background(), blockSeq{
+					n: blocks, width: 2, maxK: 1, cost: 1,
+					run: func(ctx context.Context, wk *Worker, b *mcBlock) {
+						time.Sleep(50 * time.Microsecond)
+						ran[r].Add(1)
+					},
+					drain: func(*mcBlock) error { drained[r]++; return nil },
+				})
 			}()
 		}
 		time.Sleep(time.Duration(iter%5) * 100 * time.Microsecond)
 		p.Close()
 		wg.Wait()
 		for r := 0; r < requests; r++ {
-			if results[r] == nil && counts[r].Load() != chunks {
-				t.Fatalf("iter %d request %d: fanOut returned nil with %d/%d chunks executed",
-					iter, r, counts[r].Load(), chunks)
+			if results[r] == nil && (ran[r].Load() != blocks || drained[r] != blocks) {
+				t.Fatalf("iter %d request %d: execBlocks returned nil with %d/%d blocks run, %d drained",
+					iter, r, ran[r].Load(), blocks, drained[r])
 			}
 		}
 	}
 }
 
-// TestFanOutCancellation: cancelling the request context mid-fan-out
-// fails the whole request, and running chunks observe the cancellation
+// TestExecBlocksCancellation: cancelling the request context mid-run
+// fails the whole request, and running blocks observe the cancellation
 // instead of simulating to completion.
-func TestFanOutCancellation(t *testing.T) {
+func TestExecBlocksCancellation(t *testing.T) {
 	p := NewPool(2, 8, 8)
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -330,35 +394,36 @@ func TestFanOutCancellation(t *testing.T) {
 	var sawCancel atomic.Int32
 	errc := make(chan error, 1)
 	go func() {
-		errc <- p.fanOut(ctx, 4, nil,
-			func(c int) func(context.Context, *Worker) {
-				return func(ctx context.Context, wk *Worker) {
-					started <- struct{}{}
-					<-ctx.Done()
-					sawCancel.Add(1)
-				}
-			})
+		errc <- p.execBlocks(ctx, blockSeq{n: 4, width: 4, maxK: 1, cost: 1,
+			run: func(ctx context.Context, wk *Worker, b *mcBlock) {
+				started <- struct{}{}
+				<-ctx.Done()
+				sawCancel.Add(1)
+				b.err = ctx.Err()
+			},
+			drain: noopDrain,
+		})
 	}()
-	<-started // at least one chunk is running
+	<-started // at least one block is running
 	cancel()
 	select {
 	case err := <-errc:
 		if err == nil {
-			t.Fatal("fanOut returned nil for a cancelled request")
+			t.Fatal("execBlocks returned nil for a cancelled request")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("fanOut did not return after cancellation")
+		t.Fatal("execBlocks did not return after cancellation")
 	}
 	if sawCancel.Load() == 0 {
-		t.Error("no running chunk observed the cancellation")
+		t.Error("no running block observed the cancellation")
 	}
 }
 
-// TestFanOutAdmission pins the 429 semantics of the chunked path: when the
-// shared queue cannot take even the first chunk, fanOut fails fast with
-// ErrQueueFull — one admission decision for the whole request, like the
-// serial path — rather than blocking or half-submitting.
-func TestFanOutAdmission(t *testing.T) {
+// TestExecBlocksAdmission pins the executor's 429 semantics: when the
+// shared queue cannot take even the first block, execBlocks fails fast
+// with ErrQueueFull — one admission decision for the whole request —
+// rather than blocking or half-submitting.
+func TestExecBlocksAdmission(t *testing.T) {
 	p := NewPool(1, 1, 8)
 	defer p.Close()
 	gate := make(chan struct{})
@@ -370,7 +435,7 @@ func TestFanOutAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {
+			_ = p.submit(context.Background(), &p.shared, true, 1, func(ctx context.Context, wk *Worker) {
 				pinned <- struct{}{}
 				<-gate
 			})
@@ -384,18 +449,16 @@ func TestFanOutAdmission(t *testing.T) {
 	waitQueued(t, p, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- p.fanOut(context.Background(), 4, nil,
-			func(c int) func(context.Context, *Worker) {
-				return func(ctx context.Context, wk *Worker) {}
-			})
+		errc <- p.execBlocks(context.Background(), blockSeq{n: 4, width: 4, maxK: 1, cost: 1,
+			run: func(context.Context, *Worker, *mcBlock) {}, drain: noopDrain})
 	}()
 	select {
 	case err := <-errc:
 		if err != ErrQueueFull {
-			t.Fatalf("fanOut on full queue: %v, want ErrQueueFull", err)
+			t.Fatalf("execBlocks on full queue: %v, want ErrQueueFull", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("fanOut blocked on a full queue instead of failing fast")
+		t.Fatal("execBlocks blocked on a full queue instead of failing fast")
 	}
 	close(gate)
 	wg.Wait()
@@ -418,7 +481,7 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {
+			_ = p.submit(context.Background(), &p.shared, true, 1, func(ctx context.Context, wk *Worker) {
 				pinned <- struct{}{}
 				<-gate
 			})
@@ -437,7 +500,7 @@ func TestRetryAfterCountsUnits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = p.doWaitUnits(context.Background(), 1, func(ctx context.Context, wk *Worker) {})
+			_ = p.submit(context.Background(), &p.shared, true, 1, func(ctx context.Context, wk *Worker) {})
 		}()
 	}
 	for p.QueueDepth() < 4 {

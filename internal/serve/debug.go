@@ -72,8 +72,8 @@ type DebugRequests struct {
 	// overflowed some trace's fixed span array (each trace also reports
 	// its own dropped_spans, but evicted traces take that with them). A
 	// steadily growing total means traces here are routinely incomplete —
-	// fan-out (chunked runs, large batches) writing more phases than the
-	// per-trace budget holds.
+	// requests writing more phases than the per-trace budget holds (wide
+	// executor widths, batches of many cold items).
 	SpansDropped int64 `json:"spans_dropped_total"`
 }
 

@@ -117,3 +117,58 @@ func truncate(b []byte) string {
 	}
 	return string(b)
 }
+
+// FuzzCompareEndpoint drives arbitrary bytes through the full /v1/compare
+// path — middleware, size limit, JSON decode, scheme and run-limit
+// validation, admission, block execution and encoding — and checks the
+// server never panics and never answers outside its documented status
+// set. The corpus includes a frame count whose product with the scheme
+// count overflows int.
+func FuzzCompareEndpoint(f *testing.F) {
+	s := New(Config{
+		Workers:        2,
+		QueueSize:      8,
+		MaxBodyBytes:   1 << 18,
+		MaxRuns:        40,
+		RequestTimeout: 5 * time.Second,
+	})
+	defer s.Close()
+
+	f.Add([]byte(`{"workload":"atr","schemes":["GSS","AS","SS1","SS2"],"runs":4611686018427387904}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["GSS","AS","SS1","SS2"],"runs":4611686018427387904,"chunks":1}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["all"],"runs":4}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["GSS","ORA"],"runs":20,"chunks":3,"seed":9}`))
+	f.Add([]byte(`{"workload":"atr","hetero":"biglittle","schemes":["AS"],"runs":5,"load":0.7}`))
+	f.Add([]byte(`{"workload":"atr","schemes":["bogus"]}`))
+	f.Add([]byte(`{"workload":"atr","schemes":[],"runs":-1}`))
+	f.Add([]byte(`{"workload":"atr","runs":3,"chunks":65}`))
+	f.Add([]byte(`{"workload":"atr","runs":2,"deadline":1e-9}`))
+	f.Add([]byte(`{"workload":"atr"} {}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte(``))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/compare", strings.NewReader(string(data)))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if n, _ := s.Metrics().Snapshot().Counter(MetricPanics); n != 0 {
+			t.Fatalf("handler panicked on %d-byte input %q", len(data), truncate(data))
+		}
+		if !fuzzStatuses[w.Code] {
+			t.Fatalf("status %d on input %q; body %s", w.Code, truncate(data), w.Body.String())
+		}
+		if w.Code != http.StatusOK {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with non-JSON error body %q", w.Code, w.Body.String())
+			}
+			return
+		}
+		var resp CompareResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Schemes) == 0 {
+			t.Fatalf("200 with undecodable or empty comparison %q: %v", truncate(w.Body.Bytes()), err)
+		}
+	})
+}

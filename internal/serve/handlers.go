@@ -84,7 +84,7 @@ func (s *Server) resolvePlan(ctx context.Context, ra resolvedApp) (*core.Plan, b
 	var plan *core.Plan
 	var hit bool
 	var apiErr *apiError
-	err := s.pool.DoWaitOn(ctx, s.pool.homeFor(ra.key), func(ctx context.Context, wk *Worker) {
+	err := s.pool.submit(ctx, s.pool.ownerQueue(ra.key), true, 1, func(ctx context.Context, wk *Worker) {
 		plan, hit, apiErr = s.ownerPlan(ctx, wk, ra)
 	})
 	if err != nil {
@@ -165,40 +165,6 @@ func fillRow(row *RunRow, run int, res *core.RunResult) {
 	for _, c := range res.Path {
 		row.Path = append(row.Path, c.Branch)
 	}
-}
-
-// monteCarlo executes runs Monte-Carlo executions of plan on wk's state —
-// the serial loop behind each /v1/batch item. Per-run seeds come from one
-// master stream (run i's seed is the i-th master draw — the convention the
-// /v1/run block executor reproduces with an O(1) skip), so runs are
-// independent but the whole experiment is reproducible from seed. A
-// context expiry or simulation failure aborts with the error and a
-// partial summary. Accumulation goes through core.MCStats, the reducer
-// the block executor feeds in run order, which keeps the two paths'
-// summaries bit-identical.
-func monteCarlo(ctx context.Context, wk *Worker, plan *core.Plan, cfg core.RunConfig,
-	runs int, seed uint64) (RunSummary, error) {
-	var mc core.MCStats
-	if rec := obs.TraceFromContext(ctx); rec != nil {
-		// One exec.mc span per Monte-Carlo loop, counting completed runs.
-		// Batch chunks call this concurrently on one request's record;
-		// span slots are reserved atomically, so that is safe.
-		t0 := rec.SinceStart()
-		defer func() { rec.RecordOffsetN(PhaseExecMC, t0, int64(mc.Done)) }()
-	}
-	var master exectime.Source
-	master.Reseed(seed)
-	for i := 0; i < runs; i++ {
-		if err := ctx.Err(); err != nil {
-			return mcSummary(&mc, cfg), err
-		}
-		wk.Src.Reseed(master.Uint64())
-		if err := plan.RunInto(cfg, wk.Arena, &wk.Res); err != nil {
-			return mcSummary(&mc, cfg), err
-		}
-		mc.Observe(&wk.Res)
-	}
-	return mcSummary(&mc, cfg), nil
 }
 
 // mcSummary renders an accumulated Monte-Carlo experiment as the stream's
@@ -339,12 +305,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		fillRow(&out.row, 0, &wk.Res)
 	}
+	q := &s.pool.shared
 	if routed {
-		err = s.pool.DoOn(r.Context(), s.pool.homeFor(ra.key), fn)
-	} else {
-		err = s.pool.Do(r.Context(), fn)
+		q = s.pool.ownerQueue(ra.key)
 	}
-	if !s.checkPoolErr(w, err) {
+	if !s.checkPoolErr(w, s.pool.submit(r.Context(), q, false, 1, fn)) {
 		return
 	}
 	if out.jobErr != nil {
@@ -388,7 +353,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if runs == 0 {
 		runs = 200
 	}
-	if runs < 1 || runs*len(schemes) > s.cfg.MaxRuns {
+	// runs·len(schemes) > MaxRuns, in a form that cannot overflow.
+	if runs < 1 || runs > s.cfg.MaxRuns/len(schemes) {
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("runs %d × %d schemes exceeds the limit of %d total executions",
 				runs, len(schemes), s.cfg.MaxRuns))
@@ -416,70 +382,85 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Each frame costs one NPM baseline plus one run per scheme, so the
-	// per-chunk floor is correspondingly lower than /v1/run's.
-	minFrames := minRunsPerChunk / (len(schemes) + 1)
-	if minFrames < 8 {
-		minFrames = 8
-	}
-	if nchunks := chunkCount(runs, s.pool.Workers(), req.Chunks, minFrames); nchunks > 1 {
-		s.handleCompareChunked(w, r, &req, schemes, plan, deadline, runs, nchunks)
-		return
-	}
-
-	resp := CompareResponse{
-		App: plan.Graph.Name, Runs: runs, DeadlineS: deadline,
-	}
-	var runErr error
-	err := s.pool.doUnits(r.Context(), int64(runs*(len(schemes)+1)), func(ctx context.Context, wk *Worker) {
-		norm := make([]stats.Acc, len(schemes))
-		chg := make([]stats.Acc, len(schemes))
-		missed := make([]int, len(schemes))
-		var npmEnergy stats.Acc
-		var master exectime.Source
-		master.Reseed(req.Seed)
-		for i := 0; i < runs; i++ {
-			if ctx.Err() != nil {
-				runErr = ctx.Err()
-				return
-			}
-			// Common random numbers: every scheme replays the same actual
-			// times and branch outcomes.
-			wk.Src.Reseed(master.Uint64())
-			if err := plan.RunSchemesInto(core.RunConfig{Deadline: deadline, Sampler: wk.Sampler},
-				schemes, wk.Arena, &wk.Base, func(si int, res *core.RunResult) error {
-					norm[si].Add(res.Energy() / wk.Base.Energy())
-					chg[si].Add(float64(res.SpeedChanges))
-					if !res.MetDeadline {
+	// Frames run through the block executor. Each costs one NPM baseline
+	// plus one run per scheme, so a block holds proportionally fewer frames
+	// than a /v1/run block holds runs, and the per-lane floor is lower.
+	perFrame := len(schemes) + 1
+	minFrames := max(8, minRunsPerChunk/perFrame)
+	norm := make([]stats.Acc, len(schemes))
+	chg := make([]stats.Acc, len(schemes))
+	missed := make([]int, len(schemes))
+	var npmEnergy stats.Acc
+	err := s.pool.execBlocks(r.Context(), blockSeq{
+		n:     runs,
+		width: chunkCount(runs, s.pool.Workers(), req.Chunks, minFrames),
+		maxK:  max(1, blockRuns/perFrame),
+		cost:  int64(perFrame),
+		run: func(ctx context.Context, wk *Worker, b *mcBlock) {
+			compareBlock(ctx, wk, b, plan, schemes, deadline, req.Seed)
+		},
+		// Frame-order reduction: the serial loop's accumulator sequence.
+		drain: func(b *mcBlock) error {
+			for f, base := range b.base {
+				npmEnergy.Add(base)
+				for si, c := range b.cmp[f*len(schemes) : (f+1)*len(schemes)] {
+					norm[si].Add(c.norm)
+					chg[si].Add(float64(c.chg))
+					if c.missed {
 						missed[si]++
 					}
-					return nil
-				}); err != nil {
-				runErr = fmt.Errorf("frame %d: %w", i, err)
-				return
+				}
 			}
-			npmEnergy.Add(wk.Base.Energy())
-		}
-		resp.NPMEnergyJ = npmEnergy.Mean()
-		for si, sc := range schemes {
-			resp.Schemes = append(resp.Schemes, CompareScheme{
-				Scheme:           sc.String(),
-				MeanNormEnergy:   norm[si].Mean(),
-				CI95:             norm[si].CI95(),
-				MeanSpeedChanges: chg[si].Mean(),
-				DeadlineMisses:   missed[si],
-			})
-		}
-		s.runs.Add(int64(runs * (len(schemes) + 1)))
+			return nil
+		},
 	})
-	if !s.checkPoolErr(w, err) {
+	if err != nil {
+		s.writeExecErr(w, r, err)
 		return
 	}
-	if runErr != nil {
-		s.writeError(w, http.StatusInternalServerError, runErr.Error())
-		return
+	s.runs.Add(int64(runs * perFrame))
+	resp := CompareResponse{
+		App: plan.Graph.Name, Runs: runs, DeadlineS: deadline,
+		NPMEnergyJ: npmEnergy.Mean(),
+	}
+	for si, sc := range schemes {
+		resp.Schemes = append(resp.Schemes, CompareScheme{
+			Scheme:           sc.String(),
+			MeanNormEnergy:   norm[si].Mean(),
+			CI95:             norm[si].CI95(),
+			MeanSpeedChanges: chg[si].Mean(),
+			DeadlineMisses:   missed[si],
+		})
 	}
 	s.writeJSONTraced(w, r, http.StatusOK, resp)
+}
+
+// compareBlock is /v1/compare's block job: the serial common-random-numbers
+// loop over frames [b.lo, b.lo+b.n) of the skipped master stream. Every
+// scheme replays the frame's actual times and branch outcomes, and is
+// sampled against the frame's NPM baseline.
+func compareBlock(ctx context.Context, wk *Worker, b *mcBlock, plan *core.Plan,
+	schemes []core.Scheme, deadline float64, seed uint64) {
+	var master exectime.Source
+	master.Reseed(seed)
+	master.Skip(uint64(b.lo)) // frame lo's CRN seed is the lo-th master draw
+	cfg := core.RunConfig{Deadline: deadline, Sampler: wk.Sampler}
+	each := func(_ int, res *core.RunResult) error {
+		b.cmp = append(b.cmp, cmpSample{norm: res.Energy() / wk.Base.Energy(),
+			chg: res.SpeedChanges, missed: !res.MetDeadline})
+		return nil
+	}
+	for f := b.lo; f < b.lo+b.n; f++ {
+		if b.err = ctx.Err(); b.err != nil {
+			return
+		}
+		wk.Src.Reseed(master.Uint64())
+		if err := plan.RunSchemesInto(cfg, schemes, wk.Arena, &wk.Base, each); err != nil {
+			b.err = fmt.Errorf("frame %d: %w", f, err)
+			return
+		}
+		b.base = append(b.base, wk.Base.Energy())
+	}
 }
 
 // checkPoolErr maps pool submission failures onto responses; true means

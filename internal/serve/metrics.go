@@ -82,14 +82,17 @@ const (
 	// PhaseQueue is the wait from pool submission to worker pickup. A job
 	// cancelled while queued still records it (with no PhaseExec).
 	PhaseQueue = "queue"
-	// PhaseExec is a worker's execution of one pool job. A Monte-Carlo
-	// /v1/run records one handler-side exec span with detail "blocks"
-	// instead, covering its block jobs and the writes of their rows.
+	// PhaseExec is a worker's execution of one pool job. Requests run by
+	// the block executor — Monte-Carlo /v1/run, /v1/compare, /v1/batch —
+	// record one handler-side exec span with detail "blocks" instead,
+	// covering their block jobs and the in-order drain (for /v1/run, the
+	// writes of the rows).
 	PhaseExec = "exec"
 	// PhaseExecMC is Monte-Carlo execution; its n is the number of runs
-	// completed. Batch requests record one per chunk, concurrently; a
-	// /v1/run stream records one per lane of its block executor (at most
-	// its width), spanning the lane's blocks, which encode their rows too.
+	// simulated (a compare frame counts its NPM baseline and each scheme).
+	// The block executor records one per lane (at most the request's
+	// width), spanning the lane's blocks; /v1/run blocks encode their rows
+	// too.
 	PhaseExecMC = "exec.mc"
 	// PhaseEncode is response encoding on the handler goroutine (buffered
 	// JSON responses, batch NDJSON emission, a stream's summary line).

@@ -57,8 +57,8 @@ type job struct {
 	// units is the job's work size in Monte-Carlo runs (1 for unit work
 	// like plan compiles and single executions). It weights the service
 	// EWMAs and the queued-work gauge behind RetryAfter: since one request
-	// may fan out into many chunk jobs, per-job accounting would misprice
-	// the queue by the fan-out factor.
+	// may run as many block jobs, per-job accounting would misprice the
+	// queue by the block count.
 	units int64
 
 	// enq is the submission time; it feeds the queue-age gauge and — when
@@ -128,6 +128,16 @@ func (r *ageRing) age(nowNanos int64) time.Duration {
 	return time.Duration(nowNanos - t)
 }
 
+// queue is one admission channel paired with the ring that ages it.
+type queue struct {
+	ch   chan *job
+	ring *ageRing
+}
+
+func newQueue(capacity int) queue {
+	return queue{ch: make(chan *job, capacity), ring: newAgeRing(capacity)}
+}
+
 // planEntry is one shard slot. lastHit is a plain owner-advanced tick:
 // only the owning worker reads or writes it, so the recency bookkeeping
 // needs no atomics at all.
@@ -183,8 +193,7 @@ func (sh *planShard) publish() {
 // into the registry's instruments only on the metrics/debug read paths.
 type poolWorker struct {
 	id    int
-	jobs  chan *job
-	ring  *ageRing
+	q     queue // private: jobs routed to this worker
 	quit  chan struct{}
 	plans *planShard
 	sched *schedcache.Cache
@@ -193,8 +202,8 @@ type poolWorker struct {
 	// svcUnitNanos is an EWMA of this worker's observed service time per
 	// work unit (α = 1/8), and jobUnits an EWMA of units per job. Keeping
 	// the rate per unit — rather than per job — makes the Retry-After
-	// estimate independent of how requests are chunked: a request split
-	// into W chunk jobs contributes the same queued work and the same
+	// estimate independent of how requests are cut: a request split
+	// into W block jobs contributes the same queued work and the same
 	// drain rate as its serial form, where a per-job EWMA would overprice
 	// the queue by ~W×. Single-writer: plain load/store, no CAS loop.
 	svcUnitNanos atomic.Int64
@@ -202,21 +211,22 @@ type poolWorker struct {
 }
 
 // Pool is a fixed-size worker pool with a shared bounded admission queue
-// plus one private queue per worker. Do/DoWait submit to the shared queue
-// (any worker picks the job up); DoOn/DoWaitOn route a job to one
-// specific worker — the shard owner chosen by digest — so all mutation of
-// that worker's caches stays on its goroutine. Do fails fast with
-// ErrQueueFull when the shared queue is full (backpressure); the Wait
-// variants block for space. Submission and shutdown synchronize through
-// two atomics (a Dekker-style closed/in-flight handshake), not a lock.
+// plus one private queue per worker. Jobs on the shared queue run on any
+// worker; jobs on a private queue (ownerQueue) run on that worker — the
+// shard owner chosen by digest — so all mutation of its caches stays on
+// its goroutine. Every job enters through enqueue, either fail-fast
+// (ErrQueueFull when the queue is full: backpressure) or blocking for
+// space; submit pairs it with await, and the Monte-Carlo executor
+// (execBlocks) keeps several in flight. Submission and shutdown
+// synchronize through two atomics (a Dekker-style closed/in-flight
+// handshake), not a lock.
 type Pool struct {
-	shared     chan *job
-	sharedRing *ageRing
-	workers    []*poolWorker
-	wg         sync.WaitGroup
-	closed     atomic.Bool
-	closeDone  chan struct{}
-	inFlight   atomic.Int64
+	shared    queue
+	workers   []*poolWorker
+	wg        sync.WaitGroup
+	closed    atomic.Bool
+	closeDone chan struct{}
+	inFlight  atomic.Int64
 	// unitsQueued tracks the work (in units) sitting in the queues but not
 	// yet picked up — the numerator of the RetryAfter drain estimate.
 	// Incremented after a successful enqueue, decremented at pickup.
@@ -230,15 +240,15 @@ type Pool struct {
 	}
 }
 
-// NewPool starts `workers` goroutines with a shared queue of the given
-// capacity and a per-worker plan-shard capacity totalling planCap across
-// the pool. workers, queue and planCap are floored at 1.
-func NewPool(workers, queue, planCap int) *Pool {
+// NewPool starts `workers` goroutines with a shared queue of capacity
+// queueCap and a per-worker plan-shard capacity totalling planCap across
+// the pool. workers, queueCap and planCap are floored at 1.
+func NewPool(workers, queueCap, planCap int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	if queue < 1 {
-		queue = 1
+	if queueCap < 1 {
+		queueCap = 1
 	}
 	if planCap < 1 {
 		planCap = 1
@@ -251,21 +261,19 @@ func NewPool(workers, queue, planCap int) *Pool {
 	// Private queues are small: routed jobs are picked up by a dedicated
 	// owner, so depth beyond a handful only adds latency; backpressure is
 	// the shared queue's job.
-	wq := queue / workers
+	wq := queueCap / workers
 	if wq < 1 {
 		wq = 1
 	}
 	p := &Pool{
-		shared:     make(chan *job, queue),
-		sharedRing: newAgeRing(queue),
-		closeDone:  make(chan struct{}),
-		workers:    make([]*poolWorker, workers),
+		shared:    newQueue(queueCap),
+		closeDone: make(chan struct{}),
+		workers:   make([]*poolWorker, workers),
 	}
 	for i := 0; i < workers; i++ {
 		w := &poolWorker{
 			id:    i,
-			jobs:  make(chan *job, wq),
-			ring:  newAgeRing(wq),
+			q:     newQueue(wq),
 			quit:  make(chan struct{}),
 			plans: newPlanShard(shardCap),
 			sched: schedcache.New(schedCap),
@@ -288,10 +296,10 @@ func (p *Pool) worker(w *poolWorker) {
 	}
 	for {
 		select {
-		case j := <-w.jobs:
-			p.run(w, wk, j, w.ring)
-		case j := <-p.shared:
-			p.run(w, wk, j, p.sharedRing)
+		case j := <-w.q.ch:
+			p.run(w, wk, j, w.q.ring)
+		case j := <-p.shared.ch:
+			p.run(w, wk, j, p.shared.ring)
 		case <-w.quit:
 			// Close only closes quit after the in-flight count drained to
 			// zero, so both queues are empty and will stay empty.
@@ -353,9 +361,9 @@ func (w *poolWorker) observeService(d time.Duration, units int64) {
 // QueueDepth reports the number of jobs currently sitting in the shared
 // queue and every private queue.
 func (p *Pool) QueueDepth() int {
-	depth := len(p.shared)
+	depth := len(p.shared.ch)
 	for _, w := range p.workers {
-		depth += len(w.jobs)
+		depth += len(w.q.ch)
 	}
 	return depth
 }
@@ -366,9 +374,9 @@ func (p *Pool) QueueDepth() int {
 // stall. The age is the maximum over the shared and per-worker queues.
 func (p *Pool) OldestQueueAge() time.Duration {
 	now := time.Now().UnixNano()
-	oldest := p.sharedRing.age(now)
+	oldest := p.shared.ring.age(now)
 	for _, w := range p.workers {
-		if a := w.ring.age(now); a > oldest {
+		if a := w.q.ring.age(now); a > oldest {
 			oldest = a
 		}
 	}
@@ -379,9 +387,9 @@ func (p *Pool) OldestQueueAge() time.Duration {
 // space to appear: the queued work — measured in run units, not jobs — at
 // the pool's observed per-unit drain rate, plus one mean-sized job for the
 // caller's own work, clamped to [1s, 60s]. Counting units matters once
-// requests fan out into per-worker chunks: W queued chunk jobs of one
-// request hold the same work as its serial form, and a per-job estimate
-// learned from pre-chunking traffic would overprice them by ~W×. Before
+// requests run as many block jobs: W queued block jobs of one request
+// hold the same work as its serial form, and a per-job estimate learned
+// from single-job traffic would overprice them by ~W×. Before
 // any job has completed — or with empty queues, where the rejection came
 // from a race — there is no schedule to derive, and the estimate falls
 // back to 1s.
@@ -427,64 +435,37 @@ func (p *Pool) RetryAfter() time.Duration {
 // before a worker picked the job up — at once, not when a worker reaches
 // the dead job. A nil return means fn ran to completion.
 func (p *Pool) Do(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, 1)
+	return p.submit(ctx, &p.shared, false, 1, fn)
 }
 
-// doUnits is Do with an explicit work size in run units (see job.units):
-// handlers submitting multi-run work declare its size so the Retry-After
-// EWMAs stay calibrated per run rather than per job.
-func (p *Pool) doUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, false, units)
+// ownerQueue is the private queue of the worker owning key's plan-shard
+// slot: a job placed there may touch that worker's shards without
+// synchronization.
+func (p *Pool) ownerQueue(key cacheKey) *queue {
+	return &p.workers[p.homeFor(key)].q
 }
 
-// doWaitUnits is DoWait with an explicit work size.
-func (p *Pool) doWaitUnits(ctx context.Context, units int64, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, units)
-}
-
-// DoWait is Do without the fail-fast queue check: when the queue is full
-// it blocks until space frees or ctx expires. It exists for work that has
-// already passed an admission decision of its own — the items of an
-// admitted /v1/batch — where a fail-fast ErrQueueFull would turn one
-// accepted request into a partial failure. Like Do, callers must not
-// start a DoWait after Close begins.
-func (p *Pool) DoWait(ctx context.Context, fn func(ctx context.Context, w *Worker)) error {
-	return p.submit(ctx, p.shared, p.sharedRing, fn, true, 1)
-}
-
-// DoOn is Do routed to worker `home`'s private queue: fn runs on exactly
-// that worker, which is what entitles it to touch the worker's plan and
-// section-schedule shards without synchronization.
-func (p *Pool) DoOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, false, 1)
-}
-
-// DoWaitOn is DoOn with blocking submission, for owner work downstream of
-// an admission decision (plan compiles joined by batch items).
-func (p *Pool) DoWaitOn(ctx context.Context, home int, fn func(ctx context.Context, w *Worker)) error {
-	w := p.workers[home]
-	return p.submit(ctx, w.jobs, w.ring, fn, true, 1)
-}
-
-// submit enqueues fn as one job and blocks until it completes (or until
-// ctx ends while it is still queued). units sizes the job for the
-// Retry-After accounting (floored at 1).
-func (p *Pool) submit(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64) error {
-	j, err := p.enqueue(ctx, ch, ring, fn, wait, units, obs.TraceFromContext(ctx))
+// submit enqueues fn on q as one job and blocks until it completes (or
+// until ctx ends while it is still queued). wait selects blocking
+// submission — for work downstream of an admission decision of its own,
+// such as a plan compile joined by a batch item — over fail-fast
+// ErrQueueFull; callers must not start a submission after Close begins.
+// units sizes the job for the Retry-After accounting (see job.units).
+func (p *Pool) submit(ctx context.Context, q *queue, wait bool, units int64, fn func(ctx context.Context, w *Worker)) error {
+	j, err := p.enqueue(ctx, q, fn, wait, units, obs.TraceFromContext(ctx))
 	if err != nil {
 		return err
 	}
 	return p.await(ctx, j)
 }
 
-// enqueue places fn on ch as one job and returns without waiting for it:
+// enqueue places fn on q as one job and returns without waiting for it:
 // the caller owes the job an await. wait selects blocking submission
 // (wait for queue space or ctx) over fail-fast ErrQueueFull. rec is the
 // trace record the job's queue and exec spans go to; nil keeps the job
 // out of the trace (the Monte-Carlo executor's block jobs, which would
 // otherwise overrun the span array on a large request).
-func (p *Pool) enqueue(ctx context.Context, ch chan *job, ring *ageRing, fn func(ctx context.Context, w *Worker), wait bool, units int64, rec *obs.TraceRec) (*job, error) {
+func (p *Pool) enqueue(ctx context.Context, q *queue, fn func(ctx context.Context, w *Worker), wait bool, units int64, rec *obs.TraceRec) (*job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -505,7 +486,7 @@ func (p *Pool) enqueue(ctx context.Context, ch chan *job, ring *ageRing, fn func
 	}
 	if wait {
 		select {
-		case ch <- j:
+		case q.ch <- j:
 		case <-ctx.Done():
 			p.inFlight.Add(-1)
 			// The request waited for queue space it never got; that wait is
@@ -515,13 +496,13 @@ func (p *Pool) enqueue(ctx context.Context, ch chan *job, ring *ageRing, fn func
 		}
 	} else {
 		select {
-		case ch <- j:
+		case q.ch <- j:
 		default:
 			p.inFlight.Add(-1)
 			return nil, ErrQueueFull
 		}
 	}
-	ring.noteEnqueue(j.enq)
+	q.ring.noteEnqueue(j.enq)
 	p.unitsQueued.Add(units)
 	return j, nil
 }
@@ -553,60 +534,6 @@ func (p *Pool) await(ctx context.Context, j *job) error {
 	// leaving it an unattributed gap in the trace.
 	j.rec.Record(PhaseExec, j.pickup)
 	return nil
-}
-
-// fanOut executes n chunk jobs of one request across the pool and blocks
-// until every enqueued job has returned. chunk(c) builds chunk c's function,
-// units(c) its work size (nil means 1).
-//
-// Admission semantics mirror the single-job path: chunk 0 is enqueued
-// fail-fast — the request's single admission decision on the shared
-// queue, so a saturated pool still answers a clean 429 — and the
-// remaining chunks follow with blocking submission, the way an admitted
-// batch's items ride out transient queue pressure.
-//
-// Error handling is all-or-nothing: the first failure cancels the shared
-// child context, every started chunk backs out at its next run boundary,
-// queued ones are skipped, and the returned error reports the failure —
-// never a partial result. A nil return means every chunk ran to
-// completion.
-func (p *Pool) fanOut(ctx context.Context, n int, units func(c int) int64, chunk func(c int) func(context.Context, *Worker)) error {
-	u := func(c int) int64 {
-		if units == nil {
-			return 1
-		}
-		return units(c)
-	}
-	if n <= 1 {
-		return p.doUnits(ctx, u(0), chunk(0))
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	rec := obs.TraceFromContext(ctx)
-	var first error
-	fail := func(err error) {
-		// Prefer the root cause over the context.Canceled errors the
-		// cancel fans out to sibling chunks.
-		if first == nil || errors.Is(first, context.Canceled) {
-			first = err
-		}
-		cancel()
-	}
-	jobs := make([]*job, 0, n)
-	for c := 0; c < n; c++ {
-		j, err := p.enqueue(cctx, p.shared, p.sharedRing, chunk(c), c > 0, u(c), rec)
-		if err != nil {
-			fail(err)
-			break
-		}
-		jobs = append(jobs, j)
-	}
-	for _, j := range jobs {
-		if err := p.await(cctx, j); err != nil {
-			fail(err)
-		}
-	}
-	return first
 }
 
 // InFlight returns the number of jobs queued or running.
@@ -673,8 +600,8 @@ func (p *Pool) planPeek(key cacheKey) (*core.Plan, bool) {
 }
 
 // OwnerPlan resolves key in the worker's own plan shard, compiling on a
-// miss. It must be called from a job routed to the shard's owner (DoOn /
-// DoWaitOn with homeFor(key)): entries, recency ticks and the snapshot
+// miss. It must be called from a job on the shard owner's queue
+// (ownerQueue(key)): entries, recency ticks and the snapshot
 // epoch are all mutated without synchronization on the owner's goroutine.
 // The boolean reports a hit; a second routed request for a key whose
 // compile just finished counts as a hit (the owner queue serializes

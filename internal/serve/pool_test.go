@@ -249,8 +249,9 @@ func TestPoolCancelMidQueue(t *testing.T) {
 	waitSettled(t, p)
 }
 
-// TestPoolDoWaitBlocksForSpace: DoWait must ride out a full queue instead
-// of failing fast, and still respect cancellation while blocked.
+// TestPoolDoWaitBlocksForSpace: a blocking submit must ride out a full
+// queue instead of failing fast, and still respect cancellation while
+// blocked.
 func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	p := NewPool(1, 1, 16)
 	defer p.Close()
@@ -269,30 +270,30 @@ func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	}()
 	waitQueued(t, p, 1)
 
-	// Do fails fast; DoWait blocks until the queue drains, then runs.
+	// Do fails fast; a blocking submit waits until the queue drains, then runs.
 	if err := p.Do(context.Background(), func(ctx context.Context, w *Worker) {}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Do on full queue: %v, want ErrQueueFull", err)
 	}
 	ran := make(chan struct{})
 	waited := make(chan error, 1)
 	go func() {
-		waited <- p.DoWait(context.Background(), func(ctx context.Context, w *Worker) { close(ran) })
+		waited <- p.submit(context.Background(), &p.shared, true, 1, func(ctx context.Context, w *Worker) { close(ran) })
 	}()
 	select {
 	case err := <-waited:
-		t.Fatalf("DoWait returned %v while the queue was still full", err)
+		t.Fatalf("blocking submit returned %v while the queue was still full", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(block)
 	if err := <-waited; err != nil {
-		t.Fatalf("DoWait: %v", err)
+		t.Fatalf("blocking submit: %v", err)
 	}
 	<-ran
 	if err := <-queued; err != nil {
 		t.Fatalf("queued Do: %v", err)
 	}
 
-	// A DoWait blocked on a full queue honors cancellation.
+	// A blocking submit waiting on a full queue honors cancellation.
 	block2 := make(chan struct{})
 	running2 := make(chan struct{})
 	go p.Do(context.Background(), func(ctx context.Context, w *Worker) {
@@ -308,14 +309,14 @@ func TestPoolDoWaitBlocksForSpace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waitErr := make(chan error, 1)
 	go func() {
-		waitErr <- p.DoWait(ctx, func(ctx context.Context, w *Worker) {
-			t.Error("cancelled DoWait executed")
+		waitErr <- p.submit(ctx, &p.shared, true, 1, func(ctx context.Context, w *Worker) {
+			t.Error("cancelled submit executed")
 		})
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-waitErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled DoWait: %v, want context.Canceled", err)
+		t.Fatalf("cancelled submit: %v, want context.Canceled", err)
 	}
 	close(block2)
 	if err := <-filler; err != nil {

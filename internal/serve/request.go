@@ -97,11 +97,12 @@ type CompareRequest struct {
 	Load     float64 `json:"load,omitempty"`
 	// Runs is the number of frames per scheme (default 200).
 	Runs int `json:"runs,omitempty"`
-	// Chunks splits the comparison's frames across up to this many pool
-	// workers (0 = automatic, 1 = serial; capped at Runs and at 64). The
-	// response is byte-identical for every chunk count: per-frame CRN
-	// seeds are derived by an O(1) skip on the master stream and scheme
-	// statistics are reduced in frame order.
+	// Chunks is the comparison's parallel width: how many of its frame
+	// blocks may be queued or running at once (0 = automatic, 1 = one
+	// worker at a time; capped at Runs and at 64). The response is
+	// byte-identical for every width: per-frame CRN seeds are derived by
+	// an O(1) skip on the master stream and scheme statistics are reduced
+	// in frame order.
 	Chunks int `json:"chunks,omitempty"`
 	// Seed drives the common random numbers (default 0).
 	Seed uint64 `json:"seed,omitempty"`

@@ -321,6 +321,10 @@ func (s *Server) Serve(l net.Listener) error {
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
+		// A keep-alive connection may sit idle between requests for as
+		// long as one request may take; net/http would otherwise keep it
+		// open forever.
+		IdleTimeout: s.cfg.RequestTimeout,
 	}
 	return s.httpSrv.Serve(l)
 }

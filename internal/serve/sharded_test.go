@@ -106,13 +106,13 @@ func TestSnapshotPublicationRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 1500; i++ {
 		k := keys[rng.Intn(nKeys)]
-		err := p.DoWaitOn(context.Background(), p.homeFor(k), func(ctx context.Context, wk *Worker) {
+		err := p.submit(context.Background(), p.ownerQueue(k), true, 1, func(ctx context.Context, wk *Worker) {
 			if _, _, err := wk.OwnerPlan(k, func(*schedcache.Cache) (*core.Plan, error) { return mk() }); err != nil {
 				t.Errorf("OwnerPlan: %v", err)
 			}
 		})
 		if err != nil {
-			t.Fatalf("DoWaitOn: %v", err)
+			t.Fatalf("owner submit: %v", err)
 		}
 	}
 	stop.Store(true)
@@ -130,7 +130,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 // TestPoolStatsConservationOnClose pins the graveyard bugfix: draining
 // the pool must not lose per-worker cache counters — the merged totals
 // after Close equal the totals before it, and hits+misses account for
-// every owner lookup submitted. Chunked fan-outs racing the drain must
+// every owner lookup submitted. Block executions racing the drain must
 // leave the queued-units gauge balanced too: every unit enqueued is
 // eventually picked up (or never admitted), so the gauge returns to zero.
 func TestPoolStatsConservationOnClose(t *testing.T) {
@@ -140,13 +140,13 @@ func TestPoolStatsConservationOnClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < ops; i++ {
 		k := testKey(rng.Intn(20))
-		if err := p.DoWaitOn(context.Background(), p.homeFor(k), func(ctx context.Context, wk *Worker) {
+		if err := p.submit(context.Background(), p.ownerQueue(k), true, 1, func(ctx context.Context, wk *Worker) {
 			_, _, _ = wk.OwnerPlan(k, func(*schedcache.Cache) (*core.Plan, error) { return mk() })
 		}); err != nil {
-			t.Fatalf("DoWaitOn: %v", err)
+			t.Fatalf("owner submit: %v", err)
 		}
 	}
-	// Race chunked submissions against the drain below: their units ride
+	// Race block executions against the drain below: their units ride
 	// the same accounting the counters do.
 	var fanWG sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -154,11 +154,9 @@ func TestPoolStatsConservationOnClose(t *testing.T) {
 		go func() {
 			defer fanWG.Done()
 			for i := 0; i < 50; i++ {
-				_ = p.fanOut(context.Background(), 3,
-					func(int) int64 { return 7 },
-					func(int) func(context.Context, *Worker) {
-						return func(context.Context, *Worker) {}
-					})
+				_ = p.execBlocks(context.Background(), blockSeq{n: 3, width: 3, maxK: 1, cost: 7,
+					run:   func(context.Context, *Worker, *mcBlock) {},
+					drain: func(*mcBlock) error { return nil }})
 			}
 		}()
 	}

@@ -290,7 +290,7 @@ func TestQueueWaitCancellation(t *testing.T) {
 	}
 }
 
-// TestQueueWaitCancelledBeforeSend covers the DoWait blocked-send path: a
+// TestQueueWaitCancelledBeforeSend covers the blocking submit's send path: a
 // caller that gives up while waiting for queue space still records its
 // wait as queue time, and the queue-age map is cleaned up.
 func TestQueueWaitCancelledBeforeSend(t *testing.T) {
@@ -311,23 +311,23 @@ func TestQueueWaitCancelledBeforeSend(t *testing.T) {
 	// Fill the 1-slot queue.
 	doneB := make(chan error, 1)
 	go func() {
-		doneB <- p.DoWait(context.Background(), func(ctx context.Context, wk *Worker) {})
+		doneB <- p.submit(context.Background(), &p.shared, true, 1, func(ctx context.Context, wk *Worker) {})
 	}()
 	waitQueued(t, p, 1)
 
-	// A traced DoWait now blocks on the send; cancel it there.
+	// A traced blocking submit now waits on the send; cancel it there.
 	rec := f.Start("/v1/batch", "", time.Now())
 	ctx, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), rec))
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- p.DoWait(ctx, func(ctx context.Context, wk *Worker) {
+		blocked <- p.submit(ctx, &p.shared, true, 1, func(ctx context.Context, wk *Worker) {
 			t.Error("cancelled job executed")
 		})
 	}()
 	time.Sleep(10 * time.Millisecond) // let it reach the blocking send
 	cancel()
 	if err := <-blocked; err != context.Canceled {
-		t.Fatalf("cancelled DoWait returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled submit returned %v, want context.Canceled", err)
 	}
 	close(block)
 	if err := <-doneA; err != nil {
